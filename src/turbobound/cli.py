@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -20,9 +20,11 @@ from math import comb
 from . import __version__
 from .cwef import cwef_w2_punctured, min_weights
 from .oracle import run_verification
-from .pccc import (DEFAULT_D_MAX, DEFAULT_W_MAX, BoundCurve, BoundPoint,
-                   PcccConfig, free_effective_distance, p2_approximation,
-                   p2_slice, truncated_union_bound, union_bound_term)
+from .pccc import (DEFAULT_D_MAX, DEFAULT_W_MAX, PcccConfig, d_free_eff,
+                   free_effective_distance, p2_approximation,
+                   truncated_union_bound)
+# not called here; the benchmark harness self-test traces cli.p2_slice
+from .pccc import p2_slice  # noqa: F401
 from .puncture import (PcccPunctureSet, classify, code_rate, probe_length,
                        pseudo_random_pattern, punctured_core_weights,
                        row_from_string, row_to_string)
@@ -167,19 +169,7 @@ def cmd_bound(args) -> int:
     grid = _parse_snr(args.snr)
     config = PcccConfig(code1, code2, pset, args.n)
     dfree = free_effective_distance(config)
-    sl = p2_slice(config)
-
-    def term(db: float) -> float:
-        return union_bound_term(sl, config.n, config.rate, db)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            raw = list(pool.map(term, grid))
-    else:
-        raw = [term(db) for db in grid]
-    p2_points = tuple(BoundPoint(db, min(v, 1.0), v > 1.0, v)
-                      for db, v in zip(grid, raw))
-    p2_curve = BoundCurve(p2_points, "p2")
+    p2_curve = p2_approximation(config, grid)
 
     entries = {
         "gr1": code1.feedback.to_octal(), "gf1": code1.feedforward.to_octal(),
@@ -223,7 +213,6 @@ def cmd_patterns(args) -> int:
     a2 = cwef_w2_punctured(code2, c2.p_u, c2.p_z, n2)
     d1, z1 = min_weights(a1)
     _, z2 = min_weights(a2)
-    dfree = 0 if d1 == 0 or z2 == 0 else d1 + z2
     entries = {
         "gr1": code1.feedback.to_octal(), "gf1": code1.feedforward.to_octal(),
         "gr2": code2.feedback.to_octal(), "gf2": code2.feedforward.to_octal(),
@@ -248,7 +237,7 @@ def cmd_patterns(args) -> int:
         f"constituent 2 ({code2.label()}): {classify(code2, c2.p_u, c2.p_z)}",
         f"  core_weights = {punctured_core_weights(code2, c2.p_z)}",
         f"  z_min = {z2}",
-        f"d_free_eff = {dfree}",
+        f"d_free_eff = {d_free_eff(a1, a2)}",
     ]
     text = "\n".join(_metadata("patterns", entries) + body) + "\n"
     _write_text(args.out, text)
@@ -256,17 +245,15 @@ def cmd_patterns(args) -> int:
 
 
 def _search_metrics(payload):
-    """Cheap screening pass: effective free distance or -1 if catastrophic."""
+    """Cheap screening pass: effective free distance, 0 if catastrophic."""
     gr1, gf1, gr2, gf2, chunk, n1, n2 = payload
     code1 = RscCode.from_octals(gr1, gf1)
     code2 = RscCode.from_octals(gr2, gf2)
     out = []
     for sys_row, par1_row, par2_row in chunk:
         a1 = cwef_w2_punctured(code1, sys_row, par1_row, n1)
-        d1 = min(u + z for u, z in a1.terms)
         a2 = cwef_w2_punctured(code2, (0,) * len(par2_row), par2_row, n2)
-        z2 = min(z for _, z in a2.terms)
-        out.append(-1 if d1 == 0 or z2 == 0 else d1 + z2)
+        out.append(d_free_eff(a1, a2))
     return out
 
 
@@ -429,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default %(default)s)")
     p.add_argument("--dmax", type=int, default=DEFAULT_D_MAX,
                    help="largest retained distance (default %(default)s)")
-    p.add_argument("--jobs", type=int, default=1, help="worker pool size")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; bound runs single-threaded")
     _add_out_flag(p)
     p.set_defaults(func=cmd_bound)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, islice
 from math import comb
 
@@ -307,7 +307,8 @@ def run_verification(cases=None, jobs: int = 1,
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = tuple(pool.map(run_case, cases, chunksize=16))
+            results = tuple(pool.map(partial(run_case, brute_limit=brute_limit),
+                                     cases, chunksize=16))
     else:
         results = tuple(run_case(c, brute_limit) for c in cases)
     return VerificationReport(results)

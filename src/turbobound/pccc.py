@@ -121,70 +121,15 @@ def iowef_slice(a: PcccCwef) -> IowefSlice:
     return IowefSlice(a.w, {d: coeffs[d] for d in sorted(coeffs)})
 
 
-# Coefficients of W. J. Cody's rational-minimax erfc approximation
-# (three regimes, relative error below 1e-16 in double precision).
-_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02,
-          3.77485237685302021e02, 3.20937758913846947e03,
-          1.85777706184603153e-1)
-_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02,
-          1.28261652607737228e03, 2.84423683343917062e03)
-_ERF_C = (5.64188496988670089e-1, 8.88314979438837594e00,
-          6.61191906371416295e01, 2.98635138197400131e02,
-          8.81952221241769090e02, 1.71204761263407058e03,
-          2.05107837782607147e03, 1.23033935479799725e03,
-          2.15311535474403846e-8)
-_ERF_D = (1.57449261107098347e01, 1.17693950891312499e02,
-          5.37181101862009858e02, 1.62138957456669019e03,
-          3.29079923573345963e03, 4.36261909014324716e03,
-          3.43936767414372164e03, 1.23033935480374942e03)
-_ERF_P = (3.05326634961232344e-1, 3.60344899949804439e-1,
-          1.25781726111229246e-1, 1.60837851487422766e-2,
-          6.58749161529837803e-4, 1.63153871373020978e-2)
-_ERF_Q = (2.56852019228982242e00, 1.87295284992346047e00,
-          5.27905102951428412e-1, 6.05183413124413191e-2,
-          2.33520497626869185e-3)
-_SQRPI = 5.6418958354775628695e-1
-
-
-def _erfc_nonneg(y: float) -> float:
-    if y <= 0.46875:
-        ysq = y * y if y > 1.11e-16 else 0.0
-        xnum = _ERF_A[4] * ysq
-        xden = ysq
-        for i in range(3):
-            xnum = (xnum + _ERF_A[i]) * ysq
-            xden = (xden + _ERF_B[i]) * ysq
-        return 1.0 - y * (xnum + _ERF_A[3]) / (xden + _ERF_B[3])
-    if y <= 4.0:
-        xnum = _ERF_C[8] * y
-        xden = y
-        for i in range(7):
-            xnum = (xnum + _ERF_C[i]) * y
-            xden = (xden + _ERF_D[i]) * y
-        result = (xnum + _ERF_C[7]) / (xden + _ERF_D[7])
-    else:
-        ysq = 1.0 / (y * y)
-        xnum = _ERF_P[5] * ysq
-        xden = ysq
-        for i in range(4):
-            xnum = (xnum + _ERF_P[i]) * ysq
-            xden = (xden + _ERF_Q[i]) * ysq
-        result = ysq * (xnum + _ERF_P[4]) / (xden + _ERF_Q[4])
-        result = (_SQRPI - result) / y
-    # split y*y so the exponential keeps full relative accuracy
-    near = math.floor(y * 16.0) / 16.0
-    spill = (y - near) * (y + near)
-    return math.exp(-near * near) * math.exp(-spill) * result
-
-
 def q_function(x: float) -> float:
-    """Gaussian tail probability Q(x) = erfc(x / sqrt(2)) / 2."""
+    """Gaussian tail probability Q(x) = erfc(x / sqrt(2)) / 2, with erfc
+    from the platform C library."""
     x = float(x)
     if math.isnan(x) or math.isinf(x):
         raise ValueError("q_function needs a finite argument")
     if x < 0.0:
         return 1.0 - q_function(-x)
-    return 0.5 * _erfc_nonneg(x / math.sqrt(2.0))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def union_bound_term(b: IowefSlice, n: int, rate, ebn0_db: float) -> float:
@@ -285,17 +230,24 @@ def truncated_union_bound(config: PcccConfig, w_max: int = DEFAULT_W_MAX,
     return TruncatedBound(curve, truncated, per_weight)
 
 
+def d_free_eff(a1: Cwef, a2: Cwef) -> int:
+    """Weight-2 effective free distance from the constituent enumerators:
+    the smallest u + z of constituent 1 plus the smallest z of
+    constituent 2, whose systematic bits are never sent.  Returns 0 when
+    either minimum is 0, the catastrophic-puncturing case."""
+    d1, _ = min_weights(a1)
+    _, z2 = min_weights(a2)
+    return 0 if d1 == 0 or z2 == 0 else d1 + z2
+
+
 def free_effective_distance(config: PcccConfig) -> int:
     """Smallest transmitted weight reachable by a weight-2 input pair.
 
     Returns 0 (with a warning) when either constituent admits a
     zero-weight event, the catastrophic-puncturing case.
     """
-    a1, a2 = constituent_cwefs_w2(config)
-    d1, _ = min_weights(a1)
-    _, z2 = min_weights(a2)
-    if d1 == 0 or z2 == 0:
+    dfree = d_free_eff(*constituent_cwefs_w2(config))
+    if dfree == 0:
         warnings.warn("catastrophic puncturing: weight-2 event with zero "
                       "transmitted weight", stacklevel=2)
-        return 0
-    return d1 + z2
+    return dfree

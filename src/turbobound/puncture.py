@@ -9,7 +9,6 @@ leftmost entry being column m = 1.  Rows repeat periodically, so the
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm

@@ -6,9 +6,9 @@ import pytest
 
 import turbobound.cli as cli
 from turbobound.cli import argv_from_metadata, entrypoint
-from turbobound.oracle import CaseResult, GridCase, VerificationReport
-from turbobound.pccc import PcccConfig, p2_approximation
-from turbobound.puncture import PcccPunctureSet
+from turbobound.oracle import GRID_CODES, CaseResult, GridCase, VerificationReport
+from turbobound.pccc import PcccConfig, free_effective_distance, p2_approximation
+from turbobound.puncture import PcccPunctureSet, row_from_string
 from turbobound.rsc import RscCode
 
 
@@ -104,6 +104,17 @@ def test_bound_deterministic_and_atomic(tmp_path, capsys):
     assert b"\r" not in first
     assert first.endswith(b"\n")
     assert not list(tmp_path.glob(".tb-*"))  # no temp files left behind
+
+
+def test_bound_jobs_is_inert(tmp_path, capsys):
+    argv = ("bound", "--gr1", "15", "--gf1", "17", "--pseudo", "B",
+            "--n", "200", "--snr", "0:6:0.5", "--wmax", "3")
+    outputs = []
+    for jobs in ("1", "2"):
+        target = tmp_path / f"jobs{jobs}.csv"
+        assert run(capsys, *argv, "--jobs", jobs, "--out", str(target))[0] == 0
+        outputs.append(target.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_bound_metadata_round_trip(tmp_path, capsys):
@@ -252,6 +263,26 @@ def test_search_round_trip(tmp_path, capsys):
     first = target.read_text()
     assert run(capsys, *argv_from_metadata(first), "--out", str(target))[0] == 0
     assert target.read_text() == first
+
+
+@pytest.mark.parametrize("gr,gf", GRID_CODES)
+def test_d_free_eff_agrees_across_commands(capsys, gr, gf):
+    # search screening, the patterns report and the library share one rule
+    code, out, _ = run(capsys, "search", "--gr1", gr, "--gf1", gf,
+                       "--rate", "1/2", "--period", "2", "--n", "300",
+                       "--top", "15")
+    assert code == 0 and "# candidates = 15" in out
+    lines = [l for l in out.splitlines() if not l.startswith("#")]
+    rows = [l.split(",") for l in lines[1:]]
+    assert f"# feasible = {len(rows)}" in out
+    rsc = RscCode.from_octals(gr, gf)
+    for _, sys_row, par1, par2, dfree, _ in rows:
+        code, report, _ = run(capsys, "patterns", "--gr1", gr, "--gf1", gf,
+                              "--sys", sys_row, "--par1", par1, "--par2", par2)
+        assert code == 0
+        assert f"\nd_free_eff = {dfree}\n" in report
+        pset = PcccPunctureSet(*map(row_from_string, (sys_row, par1, par2)))
+        assert free_effective_distance(PcccConfig(rsc, rsc, pset, 300)) == int(dfree)
 
 
 def test_search_infeasible_rate(capsys):

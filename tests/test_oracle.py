@@ -178,3 +178,8 @@ def test_run_verification_parallel_subset():
              GridCase("15", "17", "1", "1", 22),
              GridCase("5", "7", "10", "01", 21)]
     assert run_verification(cases, jobs=2).all_ok
+    # the pool must honour brute_limit just as the serial path does
+    for jobs in (1, 2):
+        rep = run_verification(cases, jobs=jobs, brute_limit=0)
+        assert rep.all_ok
+        assert not any(r.brute_checked for r in rep.results)
