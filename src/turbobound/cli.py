@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -40,6 +41,12 @@ _METADATA_FLAGS = ("gr1", "gf1", "gr2", "gf2", "sys", "par1", "par2",
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a minus before a digit starts a value, not an option, so that a
+        # grid such as --snr -2:10:0.25 parses like a negative number
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits 2 on usage problems; this tool reserves 2 for
     # domain errors, so remap to 1
     def error(self, message):
@@ -269,7 +276,9 @@ def _search_p2(payload):
     return out
 
 
-def _chunked(seq, size):
+def _chunked(seq, parts):
+    """Split seq into at most `parts` contiguous chunks of near-equal size."""
+    size = max(1, -(-len(seq) // max(1, parts)))
     return [seq[i:i + size] for i in range(0, len(seq), size)]
 
 
@@ -314,7 +323,7 @@ def cmd_search(args) -> int:
               code2.feedback.to_octal(), code2.feedforward.to_octal())
     n1 = probe_length(code1, m)
     n2 = probe_length(code2, m)
-    payloads = [octals + (chunk, n1, n2) for chunk in _chunked(candidates, 2048)]
+    payloads = [octals + (chunk, n1, n2) for chunk in _chunked(candidates, args.jobs)]
     dfree = [d for block in _pool_map(_search_metrics, payloads, args.jobs)
              for d in block]
     survivors = [(d, rows) for d, rows in zip(dfree, candidates) if d > 0]
@@ -328,7 +337,7 @@ def cmd_search(args) -> int:
     threshold = survivors[min(args.top, len(survivors)) - 1][0]
     contenders = [rows for d, rows in survivors if d >= threshold]
     payloads = [octals + (chunk, args.n, grid[0])
-                for chunk in _chunked(contenders, 256)]
+                for chunk in _chunked(contenders, args.jobs)]
     p2_values = [v for block in _pool_map(_search_p2, payloads, args.jobs)
                  for v in block]
     dist_of = {rows: d for d, rows in survivors}

@@ -89,36 +89,71 @@ class BoundCurve:
         return "\n".join(lines) + "\n"
 
 
+def _pack(counts: dict[int, int], low: int, high: int, width: int) -> int:
+    """Kronecker substitution: one int whose little-endian slot i, width
+    bytes wide, holds counts[low + i] (absent keys are zero slots)."""
+    buf = bytearray(width * (high - low + 1))
+    for z, c in counts.items():
+        at = (z - low) * width
+        buf[at:at + width] = c.to_bytes(width, "little")
+    return int.from_bytes(buf, "little")
+
+
 def combine_uniform_interleaver(a1: Cwef, a2: Cwef, n: int, w: int) -> PcccCwef:
     """Average the pair of constituent enumerators over all interleavers.
 
     The second encoder's systematic bits are never transmitted, so a2 is
-    first projected onto its parity weight alone; the product is then
-    divided exactly by the number of weight-w positions.
+    first projected onto its parity weight alone.  For each systematic
+    weight u of a1 the two parity-count vectors are then convolved
+    exactly in one big-int product, and every count is divided exactly
+    by the number of weight-w positions.
     """
     if a1.w != w or a2.w != w:
         raise ValueError(f"weight mismatch: {a1.w}, {a2.w} vs requested {w}")
     if a1.n != n or a2.n != n:
         raise ValueError(f"length mismatch: {a1.n}, {a2.n} vs requested {n}")
+    terms: dict[tuple[int, int], Fraction] = {}
+    if not a1.terms or not a2.terms:
+        return PcccCwef(w, n, terms)
     z_marginal: dict[int, int] = {}
     for (_, z2), c in a2.terms.items():
         z_marginal[z2] = z_marginal.get(z2, 0) + c
-    raw: dict[tuple[int, int], int] = {}
-    for (u1, z1), c1 in a1.terms.items():
-        for z2, c2 in z_marginal.items():
-            key = (u1, z1 + z2)
-            raw[key] = raw.get(key, 0) + c1 * c2
+    by_u: dict[int, dict[int, int]] = {}
+    for (u1, z1), c in a1.terms.items():
+        by_u.setdefault(u1, {})[z1] = c
+    # a product slot sums at most min(|A1|, |Z2|) products of two counts,
+    # so it stays below 256**width and never carries into the next slot
+    largest = (max(a1.terms.values()) * max(z_marginal.values())
+               * min(len(a1.terms), len(z_marginal)))
+    width = largest.bit_length() // 8 + 1
+    z2_low, z2_high = min(z_marginal), max(z_marginal)
+    packed2 = _pack(z_marginal, z2_low, z2_high, width)
     denom = comb(n, w)
-    terms = {key: Fraction(raw[key], denom) for key in sorted(raw)}
+    for u in sorted(by_u):
+        column = by_u[u]
+        low, high = min(column), max(column)
+        slots = high - low + z2_high - z2_low + 1
+        product = _pack(column, low, high, width) * packed2
+        raw = memoryview(product.to_bytes(slots * width, "little"))
+        base = low + z2_low
+        for i in range(slots):
+            c = int.from_bytes(raw[i * width:(i + 1) * width], "little")
+            if c:
+                terms[(u, base + i)] = Fraction(c, denom)
     return PcccCwef(w, n, terms)
 
 
 def iowef_slice(a: PcccCwef) -> IowefSlice:
-    coeffs: dict[int, Fraction] = {}
+    """Distance spectrum: the coefficients of equal u + z, summed as
+    integer numerators over the common denominator of the terms."""
+    denom = math.lcm(*{c.denominator for c in a.terms.values()})
+    numerators: dict[int, int] = {}
     for (u, z), c in a.terms.items():
         d = u + z
-        coeffs[d] = coeffs.get(d, Fraction(0)) + c
-    return IowefSlice(a.w, {d: coeffs[d] for d in sorted(coeffs)})
+        numerators[d] = (numerators.get(d, 0)
+                         + c.numerator * (denom // c.denominator))
+    return IowefSlice(a.w, {d: Fraction(numerators[d], denom)
+                            for d in sorted(numerators)})
 
 
 def q_function(x: float) -> float:
@@ -139,12 +174,16 @@ def union_bound_term(b: IowefSlice, n: int, rate, ebn0_db: float) -> float:
         raise ValueError(f"rate {rate} outside (0, 1)")
     if n < 1:
         raise ValueError("block length must be positive")
-    if not b.coeffs:
-        return 0.0
     scale = 2.0 * float(rate) * 10.0 ** (ebn0_db / 10.0)
-    return math.fsum(
-        float(Fraction(b.w, n) * coeff) * q_function(math.sqrt(scale * d))
-        for d, coeff in sorted(b.coeffs.items()))
+    summands = []
+    for d, coeff in sorted(b.coeffs.items()):
+        q = q_function(math.sqrt(scale * d))
+        if q == 0.0:
+            # Q does not increase with d, so every later summand is 0.0
+            break
+        # int / int is correctly rounded: float(Fraction(b.w, n) * coeff)
+        summands.append(b.w * coeff.numerator / (n * coeff.denominator) * q)
+    return math.fsum(summands)
 
 
 def constituent_cwefs_w2(config: PcccConfig) -> tuple[Cwef, Cwef]:

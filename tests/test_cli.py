@@ -129,6 +129,24 @@ def test_bound_metadata_round_trip(tmp_path, capsys):
     assert target.read_text() == first
 
 
+def test_bound_negative_snr_start(tmp_path, capsys):
+    # a grid starting below 0 dB parses as the flag's value in both forms
+    argv = ("bound", "--gr1", "15", "--gf1", "17", "--pseudo", "A",
+            "--n", "300")
+    outputs = []
+    for snr in (("--snr", "-2:2:1"), ("--snr=-2:2:1",)):
+        target = tmp_path / f"curve{len(outputs)}.csv"
+        assert run(capsys, *argv, *snr, "--out", str(target))[0] == 0
+        outputs.append(target.read_text())
+    assert outputs[0] == outputs[1]
+    assert "# snr = -2.0:2.0:1.0" in outputs[0]
+    # the header's negative grid round-trips as a separate argument too
+    replay = tmp_path / "replay.csv"
+    assert run(capsys, *argv_from_metadata(outputs[0]),
+               "--out", str(replay))[0] == 0
+    assert replay.read_text() == outputs[0]
+
+
 def test_argv_from_metadata_rejects_headerless():
     with pytest.raises(ValueError, match="no subcommand"):
         argv_from_metadata("ebn0_db,p2\n1,0.5\n")
@@ -283,6 +301,28 @@ def test_d_free_eff_agrees_across_commands(capsys, gr, gf):
         assert f"\nd_free_eff = {dfree}\n" in report
         pset = PcccPunctureSet(*map(row_from_string, (sys_row, par1, par2)))
         assert free_effective_distance(PcccConfig(rsc, rsc, pset, 300)) == int(dfree)
+
+
+def test_search_jobs_splits_work(monkeypatch, tmp_path, capsys):
+    # every worker gets a chunk even when the candidates are few
+    sizes = []
+    real_pool_map = cli._pool_map
+
+    def counting_pool_map(fn, payloads, jobs):
+        sizes.append((jobs, len(payloads)))
+        return real_pool_map(fn, payloads, jobs)
+
+    monkeypatch.setattr(cli, "_pool_map", counting_pool_map)
+    reports = []
+    for jobs in ("1", "2"):
+        target = tmp_path / f"rank{jobs}.csv"
+        assert run(capsys, "search", "--gr1", "15", "--gf1", "17",
+                   "--rate", "1/2", "--period", "4", "--n", "200",
+                   "--top", "10", "--jobs", jobs, "--out", str(target))[0] == 0
+        reports.append(target.read_bytes())
+    assert reports[0] == reports[1]
+    assert sizes[:2] == [(1, 1), (1, 1)]
+    assert sizes[2] == (2, 2)   # screening of C(12, 6) = 924 candidates
 
 
 def test_search_infeasible_rate(capsys):
