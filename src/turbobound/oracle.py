@@ -1,6 +1,7 @@
 """Exact enumerators computed two independent ways: a forward trellis
 dynamic program over (state, input weight, systematic weight, parity
-weight), and plain brute force over every weight-w input.  Both follow
+weight), and exhaustive enumeration of every weight-w input, each
+codeword built as the XOR of shifted impulse responses.  Both follow
 the terminated-path convention of the closed forms: a path counts only
 if it ends the block in the zero state, with no tail appended.
 """
@@ -8,10 +9,12 @@ if it ends the block in the zero state, with no tail appended.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import combinations, islice
+from functools import lru_cache, partial, reduce
+from itertools import combinations, product
 from math import comb
+from operator import xor
 
 import numpy as np
 
@@ -26,18 +29,6 @@ DP_W_LIMIT = 6
 DP_D_LIMIT = 512
 # without a parity cap the z axis spans the whole block
 DP_UNCAPPED_N_LIMIT = 2048
-_BATCH = 100_000
-
-
-@lru_cache(maxsize=None)
-def _transition_tables(code: RscCode) -> tuple[np.ndarray, np.ndarray]:
-    n_states = code.n_states
-    nxt = np.zeros((n_states, 2), dtype=np.int64)
-    par = np.zeros((n_states, 2), dtype=np.int64)
-    for s in range(n_states):
-        for b in (0, 1):
-            nxt[s, b], _, par[s, b] = step(code, s, b)
-    return nxt, par
 
 
 @dataclass(frozen=True)
@@ -86,47 +77,53 @@ def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
 @lru_cache(maxsize=32)
 def _dp_cached(code: RscCode, p_u: tuple, p_z: tuple, n: int, w_max: int,
                d_cap: int, include_w0: bool) -> DpResult:
-    nxt, par = _transition_tables(code)
     n_states = code.n_states
-    # axes: state, input weight, systematic weight u, transmitted weight d=u+z
-    dims = (n_states, w_max + 1, w_max + 1, d_cap + 1)
-    cur = np.zeros(dims, dtype=np.int64)
-    cur[0, 0, 0, 0] = 1
-    new = np.zeros_like(cur)
+    # one flat row per state over (w, u, d = u + z), so that a transition
+    # adds one contiguous slice at one offset; two spare d cells take
+    # what a step pushes past the cap and are cleared every step
+    size_u, size_d = w_max + 1, d_cap + 3
+    span = size_u * size_u * size_d
+    bufs = np.zeros((2, n_states, span), dtype=np.int64)
+    bufs[0, 0, 0] = 1
+    # per (p_u bit, p_z bit, buffer order): the destination and source
+    # views, source state and d increment of every transition; the
+    # offset of a 1 input spans a whole w row, so the source slice stops
+    # before row w_max and no path gains weight beyond w_max
+    moves = {key: [] for key in product((0, 1), repeat=3)}
+    for s, b in product(range(n_states), (0, 1)):
+        t, _, parity = step(code, s, b)
+        for pu_i, pz_i, flip in moves:
+            du = b & pu_i
+            dd = du + (parity & pz_i)
+            off = (b * size_u + du) * size_d + dd
+            moves[pu_i, pz_i, flip].append(
+                (bufs[1 - flip, t, off:], bufs[flip, s, :span - off], s, dd))
     truncated = False
     mu, mz = len(p_u), len(p_z)
     for i in range(n):
-        pu_i, pz_i = p_u[i % mu], p_z[i % mz]
-        new[:] = 0
-        for s in range(n_states):
-            for b in (0, 1):
-                du = b & pu_i
-                dd = du + (int(par[s, b]) & pz_i)
-                if dd and not truncated and cur[s, :, :, d_cap + 1 - dd:].any():
-                    truncated = True
-                new[nxt[s, b], b:, du:, dd:] += \
-                    cur[s, :w_max + 1 - b, :w_max + 1 - du, :d_cap + 1 - dd]
-        cur, new = new, cur
-    total_paths = int(cur.sum())
-    final = cur[0]
-    by_weight: dict[int, Cwef] = {}
-    for w in range(0 if include_w0 else 1, w_max + 1):
-        us, ds = np.nonzero(final[w])
-        terms = {(int(u), int(d - u)): int(final[w, u, d])
-                 for u, d in zip(us, ds)}
-        by_weight[w] = Cwef(w, n, terms)
-    return DpResult(by_weight, truncated, total_paths)
-
-
-def _batched(iterable, size):
-    it = iter(iterable)
-    while chunk := tuple(islice(it, size)):
-        yield chunk
+        cur, new = bufs[i & 1], bufs[1 - (i & 1)]
+        transitions = moves[p_u[i % mu], p_z[i % mz], i & 1]
+        # d = u + z <= w_max + i after i steps: no path nears the cap sooner
+        if not truncated and i + w_max >= d_cap - 1:
+            top = cur.reshape(n_states, -1, size_d)[:, :, d_cap - 1:d_cap + 1]
+            # per state: is there mass that a d increment of 1 or 2 pushes out
+            spills = (None, top[:, :, 1].any(axis=1), top.any(axis=(1, 2)))
+            truncated = any(dd and spills[dd][s] for *_, s, dd in transitions)
+        new.fill(0)
+        for dst, src, _, _ in transitions:
+            dst += src
+        new.reshape(n_states, -1, size_d)[:, :, d_cap + 1:] = 0
+    final = bufs[n & 1, 0].reshape(size_u, size_u, size_d)
+    by_weight = {w: Cwef(w, n, {(int(u), int(d - u)): int(final[w, u, d])
+                                for u, d in zip(*np.nonzero(final[w]))})
+                 for w in range(0 if include_w0 else 1, w_max + 1)}
+    return DpResult(by_weight, truncated, int(bufs[n & 1].sum()))
 
 
 def brute_force_cwef(code: RscCode, p_u, p_z, n: int, w: int) -> Cwef:
     """Encode every weight-w input of length n and tally the punctured
-    weights of those ending in the zero state."""
+    weights of those ending in the zero state.  The encoder is linear, so
+    each codeword is the XOR of the codewords of its single 1s."""
     p_u, p_z = as_row(p_u), as_row(p_z)
     if w < 0 or n < 1:
         raise ValueError("need w >= 0 and n >= 1")
@@ -134,32 +131,32 @@ def brute_force_cwef(code: RscCode, p_u, p_z, n: int, w: int) -> Cwef:
         return Cwef(0, n, {(0, 0): 1})
     if comb(n, w) > BRUTE_FORCE_LIMIT:
         raise ValueError(f"C({n},{w}) exceeds the brute-force limit {BRUTE_FORCE_LIMIT}")
-    nxt, par = _transition_tables(code)
-    pu_arr = np.array([p_u[i % len(p_u)] for i in range(n)], dtype=np.int64)
-    pz_arr = np.array([p_z[i % len(p_z)] for i in range(n)], dtype=np.int64)
-    terms: dict[tuple[int, int], int] = {}
-    for batch in _batched(combinations(range(n), w), _BATCH):
-        pos = np.array(batch, dtype=np.int64)
-        rows = pos.shape[0]
-        bits = np.zeros((rows, n), dtype=np.int64)
-        bits[np.arange(rows)[:, None], pos] = 1
-        state = np.zeros(rows, dtype=np.int64)
-        z = np.zeros(rows, dtype=np.int64)
-        for i in range(n):
-            col = bits[:, i]
-            z += par[state, col] * pz_arr[i]
-            state = nxt[state, col]
-        ok = state == 0
-        if w == 2:
-            # remerge happens exactly at separations that are multiples
-            # of the feedback period, never anywhere else
-            remerge = (pos[:, 1] - pos[:, 0]) % code.period == 0
-            if not np.array_equal(ok, remerge):
-                raise AssertionError("weight-2 remerge structure violated")
-        u = bits @ pu_arr
-        for uu, zz in zip(u[ok].tolist(), z[ok].tolist()):
-            terms[(uu, zz)] = terms.get((uu, zz), 0) + 1
-    return Cwef(w, n, terms)
+    nu, block = code.nu, (1 << n) - 1
+    # a single 1 at time 0: the state after each step, the parity bits
+    states, resp, state = [], 0, 0
+    for t in range(n):
+        state, _, parity = step(code, state, int(t == 0))
+        states.append(state)
+        resp |= parity << t
+    # a 1 at position p as one int: its end state in the low nu bits,
+    # the n input bits above them, the n parity bits on top
+    impulses = [states[n - 1 - p] | 1 << (nu + p) | (resp << p & block) << (nu + n)
+                for p in range(n)]
+    pu_mask = sum(p_u[i % len(p_u)] << i for i in range(n)) << nu
+    pz_mask = sum(p_z[i % len(p_z)] << i for i in range(n)) << (nu + n)
+    state_mask = (1 << nu) - 1
+    merged = [word for word in map(partial(reduce, xor), combinations(impulses, w))
+              if not word & state_mask]
+    if w == 2:
+        # remerge happens exactly at separations that are multiples of
+        # the feedback period, never anywhere else
+        ones = [word >> nu & block for word in merged]
+        if (any((x.bit_length() - (x & -x).bit_length()) % code.period for x in ones)
+                or len(ones) != sum(range(n - code.period, 0, -code.period))):
+            raise AssertionError("weight-2 remerge structure violated")
+    terms = Counter(((word & pu_mask).bit_count(), (word & pz_mask).bit_count())
+                    for word in merged)
+    return Cwef(w, n, dict(terms))
 
 
 def diff_cwefs(a: Cwef, b: Cwef, limit: int = 6) -> str | None:

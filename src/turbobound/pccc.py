@@ -186,6 +186,8 @@ def union_bound_term(b: IowefSlice, n: int, rate, ebn0_db: float) -> float:
     return math.fsum(summands)
 
 
+# one entry: `bound` asks for d_free_eff and then for P(2) of one config
+@lru_cache(maxsize=1)
 def constituent_cwefs_w2(config: PcccConfig) -> tuple[Cwef, Cwef]:
     c1 = config.punctures.constituent1()
     c2 = config.punctures.constituent2()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import turbobound.cli as cli
+import turbobound.pccc as pccc
 from turbobound.cli import argv_from_metadata, entrypoint
 from turbobound.oracle import GRID_CODES, CaseResult, GridCase, VerificationReport
 from turbobound.pccc import PcccConfig, free_effective_distance, p2_approximation
@@ -115,6 +116,25 @@ def test_bound_jobs_is_inert(tmp_path, capsys):
         assert run(capsys, *argv, "--jobs", jobs, "--out", str(target))[0] == 0
         outputs.append(target.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_bound_computes_constituent_cwefs_once(monkeypatch, capsys):
+    # d_free_eff and P(2) share one closed-form pair per run
+    calls = []
+    real = pccc.cwef_w2_punctured
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pccc, "cwef_w2_punctured", counted)
+    # no other test runs this config, so no cache holds it yet
+    pccc.p2_slice.cache_clear()
+    code, out, _ = run(capsys, "bound", "--gr1", "23", "--gf1", "35",
+                       "--pseudo", "A", "--n", "1234", "--snr", "2:4:1",
+                       "--wmax", "2")
+    assert code == 0 and "# d_free_eff = " in out
+    assert len(calls) == 2
 
 
 def test_bound_metadata_round_trip(tmp_path, capsys):

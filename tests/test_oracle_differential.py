@@ -1,0 +1,121 @@
+"""Randomized differential tests of the enumerators beyond the fixed grid.
+
+The closed form, the trellis DP and exhaustive enumeration must agree on
+random codes and puncturing rows.  The exhaustive oracle builds each
+codeword by superposing shifted impulse responses, so it is also checked
+against plain encoding of every input, which does not lean on linearity.
+The DP, which shifts flat numpy rows, is checked against a plain dict
+pass over the same trellis, truncation flag and path total included.
+"""
+
+from functools import reduce
+from itertools import combinations
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from turbobound.cwef import cwef_w2_punctured
+from turbobound.gf2 import BinaryPolynomial
+from turbobound.oracle import brute_force_cwef, exact_cwef_dp
+from turbobound.puncture import Classification, classify
+from turbobound.rsc import RscCode, encode, step
+
+
+@st.composite
+def codes(draw, nu_max=4):
+    # both generators keep their constant term; the feedback one sets
+    # the memory nu and the feedforward one may have lower degree
+    nu = draw(st.integers(1, nu_max))
+    feedback = 1 | 1 << nu | draw(st.integers(0, (1 << (nu - 1)) - 1)) << 1
+    feedforward = 1 | draw(st.integers(0, (1 << nu) - 1)) << 1
+    assume(feedforward != feedback)
+    return RscCode(BinaryPolynomial(feedback), BinaryPolynomial(feedforward))
+
+
+def rows(max_period):
+    return st.integers(1, max_period).flatmap(
+        lambda m: st.tuples(*[st.integers(0, 1)] * m))
+
+
+@st.composite
+def punctured_codes(draw, max_period=8):
+    """A code and a row pair of period <= max_period that is not
+    catastrophic, screened the way the verification grid screens them."""
+    code = draw(codes())
+    p_u, p_z = draw(rows(max_period)), draw(rows(max_period))
+    assume(classify(code, p_u, p_z) is not Classification.CATASTROPHIC)
+    return code, p_u, p_z
+
+
+@settings(max_examples=150, deadline=None)
+@given(punctured_codes(), st.integers(1, 120))
+def test_closed_form_dp_and_brute_force_agree_w2(case, n):
+    code, p_u, p_z = case
+    assume(n > code.period)
+    closed = cwef_w2_punctured(code, p_u, p_z, n).terms
+    assert exact_cwef_dp(code, p_u, p_z, n, w_max=2).for_weight(2).terms == closed
+    assert brute_force_cwef(code, p_u, p_z, n, 2).terms == closed
+
+
+@settings(max_examples=60, deadline=None)
+@given(punctured_codes(), st.integers(1, 40))
+def test_dp_and_brute_force_agree_w3(case, n):
+    code, p_u, p_z = case
+    assert brute_force_cwef(code, p_u, p_z, n, 3).terms \
+        == exact_cwef_dp(code, p_u, p_z, n, w_max=3).for_weight(3).terms
+
+
+def encoded_tally(code, p_u, p_z, n, w):
+    # one full encoder run per input, with no appeal to linearity
+    terms = {}
+    for ones in combinations(range(n), w):
+        bits = [int(i in ones) for i in range(n)]
+        if reduce(lambda s, b: step(code, s, b)[0], bits, 0):
+            continue
+        sys_out, par_out = encode(code, bits)
+        u = sum(b & p_u[i % len(p_u)] for i, b in enumerate(sys_out))
+        z = sum(b & p_z[i % len(p_z)] for i, b in enumerate(par_out))
+        terms[u, z] = terms.get((u, z), 0) + 1
+    return terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes(), rows(8), rows(8), st.integers(1, 24), st.sampled_from((1, 2, 3)))
+def test_superposition_matches_direct_encoding(code, p_u, p_z, n, w):
+    assert brute_force_cwef(code, p_u, p_z, n, w).terms \
+        == encoded_tally(code, p_u, p_z, n, w)
+
+
+def reference_dp(code, p_u, p_z, n, w_max, d_cap):
+    # one dict entry per (state, w, u, d); a step that would lift d past
+    # the cap marks the pass truncated, whatever the input weight
+    cur, truncated = {(0, 0, 0, 0): 1}, False
+    for i in range(n):
+        new = {}
+        for (s, w, u, d), count in cur.items():
+            for b in (0, 1):
+                t, _, parity = step(code, s, b)
+                du = b & p_u[i % len(p_u)]
+                dd = du + (parity & p_z[i % len(p_z)])
+                if d + dd > d_cap:
+                    truncated = True
+                elif w + b <= w_max:
+                    key = (t, w + b, u + du, d + dd)
+                    new[key] = new.get(key, 0) + count
+        cur = new
+    by_weight = {}
+    for (s, w, u, d), count in cur.items():
+        if s == 0:
+            by_weight.setdefault(w, {})[u, d - u] = count
+    return by_weight, truncated, sum(cur.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes(), rows(8), rows(8), st.integers(1, 60), st.integers(1, 4),
+       st.one_of(st.none(), st.integers(1, 40)))
+def test_dp_matches_dict_trellis(code, p_u, p_z, n, w_max, d_max):
+    res = exact_cwef_dp(code, p_u, p_z, n, w_max, d_max, include_w0=True)
+    by_weight, truncated, total = reference_dp(
+        code, p_u, p_z, n, w_max, n + w_max if d_max is None else d_max)
+    assert {w: c.terms for w, c in res.by_weight.items() if c.terms} == by_weight
+    assert (res.truncated, res.total_paths) == (truncated, total)
