@@ -22,7 +22,7 @@ from .oracle import (DpResult, GridCase, VerificationReport, brute_force_cwef,
                      run_case, run_verification)
 from .pccc import (BoundCurve, BoundPoint, IowefSlice, PcccConfig, PcccCwef,
                    TruncatedBound, combine_uniform_interleaver,
-                   free_effective_distance, iowef_slice, p2_approximation,
+                   distance_spectrum, free_effective_distance, iowef_slice, p2_approximation,
                    p2_slice, q_function, truncated_union_bound,
                    union_bound_term)
 
@@ -40,7 +40,8 @@ __all__ = [
     "default_verification_grid", "diff_cwefs", "exact_cwef_dp", "run_case",
     "run_verification",
     "BoundCurve", "BoundPoint", "IowefSlice", "PcccConfig", "PcccCwef",
-    "TruncatedBound", "combine_uniform_interleaver", "free_effective_distance",
+    "TruncatedBound", "combine_uniform_interleaver", "distance_spectrum",
+    "free_effective_distance",
     "iowef_slice", "p2_approximation", "p2_slice", "q_function",
     "truncated_union_bound", "union_bound_term",
 ]

@@ -9,12 +9,14 @@ enough '#' metadata to reproduce the run byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from heapq import nlargest
 from itertools import combinations
 from math import comb
 
@@ -22,8 +24,8 @@ from . import __version__
 from .cwef import cwef_w2_punctured, min_weights
 from .oracle import run_verification
 from .pccc import (DEFAULT_D_MAX, DEFAULT_W_MAX, PcccConfig, d_free_eff,
-                   free_effective_distance, p2_approximation,
-                   truncated_union_bound)
+                   distance_spectrum, free_effective_distance,
+                   p2_approximation, truncated_union_bound, union_bound_term)
 # not called here; the benchmark harness self-test traces cli.p2_slice
 from .pccc import p2_slice  # noqa: F401
 from .puncture import (PcccPunctureSet, classify, code_rate, probe_length,
@@ -32,6 +34,7 @@ from .puncture import (PcccPunctureSet, classify, code_rate, probe_length,
 from .rsc import RscCode
 
 MAX_BLOCK = 10**6
+MAX_SNR_POINTS = 10**4
 SEARCH_CANDIDATE_LIMIT = 1_000_000
 _PROB = "{:.11e}"  # 12 significant digits, fixed width
 
@@ -56,20 +59,27 @@ class _Parser(argparse.ArgumentParser):
 def _parse_snr(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return (float(parts[0]),)
-        if len(parts) != 3:
+        if len(parts) not in (1, 3):
             raise ValueError
-        start, stop, step = (float(p) for p in parts)
+        values = [float(p) for p in parts]
     except ValueError:
         raise ValueError(
             f"--snr wants START:STOP:STEP or a single value, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"--snr values must be finite, got {text!r}")
+    if len(values) == 1:
+        return (values[0],)
+    start, stop, step = values
     if step <= 0:
         raise ValueError("--snr step must be positive")
     if stop < start:
         raise ValueError("--snr stop must not precede start")
-    count = int((stop - start) / step + 1e-9) + 1
-    return tuple(start + i * step for i in range(count))
+    # compared as a float, so that a huge quotient is refused before it
+    # becomes a point count (an infinite one cannot become an int at all)
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_SNR_POINTS:
+        raise ValueError(f"--snr grid has more than {MAX_SNR_POINTS} points")
+    return tuple(start + i * step for i in range(int(span) + 1))
 
 
 def _snr_text(grid: tuple[float, ...]) -> str:
@@ -251,28 +261,38 @@ def cmd_patterns(args) -> int:
     return 0
 
 
-def _search_metrics(payload):
-    """Cheap screening pass: effective free distance, 0 if catastrophic."""
-    gr1, gf1, gr2, gf2, chunk, n1, n2 = payload
-    code1 = RscCode.from_octals(gr1, gf1)
-    code2 = RscCode.from_octals(gr2, gf2)
-    out = []
-    for sys_row, par1_row, par2_row in chunk:
-        a1 = cwef_w2_punctured(code1, sys_row, par1_row, n1)
-        a2 = cwef_w2_punctured(code2, (0,) * len(par2_row), par2_row, n2)
-        out.append(d_free_eff(a1, a2))
-    return out
+def _cwef_batch(tasks):
+    """Weight-2 enumerators of a chunk of (code, p_u, p_z, n) tasks."""
+    return [cwef_w2_punctured(*task) for task in tasks]
 
 
 def _search_p2(payload):
-    gr1, gf1, gr2, gf2, chunk, n, db = payload
-    code1 = RscCode.from_octals(gr1, gf1)
-    code2 = RscCode.from_octals(gr2, gf2)
+    """P(2) of each contender in a chunk, from the spectrum and union sum
+    that `bound` uses; each distinct constituent row is built once."""
+    code1, code2, chunk, n, rate, db = payload
+    built = {}
+
+    def cwef(*key):
+        if key not in built:
+            built[key] = cwef_w2_punctured(*key)
+        return built[key]
+
     out = []
     for sys_row, par1_row, par2_row in chunk:
-        config = PcccConfig(code1, code2,
-                            PcccPunctureSet(sys_row, par1_row, par2_row), n)
-        out.append(p2_approximation(config, (db,)).points[0].raw)
+        a1 = cwef(code1, sys_row, par1_row, n)
+        a2 = cwef(code2, (0,) * len(par2_row), par2_row, n)
+        out.append(union_bound_term(distance_spectrum(a1, a2, n, 2), n, rate, db))
+    return out
+
+
+def _rows(length: int, ones: int) -> list[tuple[int, ...]]:
+    """Every 0/1 row of the given length and weight, in combinations order."""
+    out = []
+    for pos in combinations(range(length), ones):
+        bits = [0] * length
+        for p in pos:
+            bits[p] = 1
+        out.append(tuple(bits))
     return out
 
 
@@ -311,45 +331,59 @@ def cmd_search(args) -> int:
             f"search space C({3 * m},{kept}) = {count} exceeds "
             f"{SEARCH_CANDIDATE_LIMIT}; reduce --period")
 
-    candidates = []
-    for pos in combinations(range(3 * m), kept):
-        bits = [0] * (3 * m)
-        for p in pos:
-            bits[p] = 1
-        candidates.append((tuple(bits[:m]), tuple(bits[m:2 * m]),
-                           tuple(bits[2 * m:])))
+    # candidates by the weight k of (sys, par1): every pair of weight k
+    # meets every par2 row of weight kept - k
+    classes = []
+    for k in range(max(0, kept - m), min(2 * m, kept) + 1):
+        pairs = [(bits[:m], bits[m:]) for bits in _rows(2 * m, k)]
+        classes.append((pairs, _rows(m, kept - k)))
 
-    octals = (code1.feedback.to_octal(), code1.feedforward.to_octal(),
-              code2.feedback.to_octal(), code2.feedforward.to_octal())
+    # behind the uniform interleaver d_free_eff splits into a constituent-1
+    # part and a par2 part, so each distinct row is screened once
+    zeros = (0,) * m
     n1 = probe_length(code1, m)
     n2 = probe_length(code2, m)
-    payloads = [octals + (chunk, n1, n2) for chunk in _chunked(candidates, args.jobs)]
-    dfree = [d for block in _pool_map(_search_metrics, payloads, args.jobs)
-             for d in block]
-    survivors = [(d, rows) for d, rows in zip(dfree, candidates) if d > 0]
-    if not survivors:
+    tasks = list(dict.fromkeys(
+        [(code1, *pair, n1) for pairs, _ in classes for pair in pairs]
+        + [(code2, zeros, par2, n2) for _, rows in classes for par2 in rows]))
+    built = dict(zip(tasks, (
+        a for block in _pool_map(_cwef_batch, _chunked(tasks, args.jobs), args.jobs)
+        for a in block)))
+
+    def triples():
+        """Every candidate with its two screening enumerators."""
+        for pairs, rows in classes:
+            a2s = [(par2, built[(code2, zeros, par2, n2)]) for par2 in rows]
+            for pair in pairs:
+                a1 = built[(code1, *pair, n1)]
+                for par2, a2 in a2s:
+                    yield (*pair, par2), a1, a2
+
+    dfree = [d_free_eff(a1, a2) for _, a1, a2 in triples()]
+    feasible = sum(d > 0 for d in dfree)
+    if not feasible:
         print(f"no non-catastrophic pattern of period {m} at rate {rate}",
               file=sys.stderr)
         return 2
 
     # P(2) is only needed for distance classes that can reach the top-K cut
-    survivors.sort(key=lambda item: -item[0])
-    threshold = survivors[min(args.top, len(survivors)) - 1][0]
-    contenders = [rows for d, rows in survivors if d >= threshold]
-    payloads = [octals + (chunk, args.n, grid[0])
+    threshold = nlargest(min(args.top, feasible), dfree)[-1]
+    contenders = [(d, rows) for d, (rows, _, _) in zip(dfree, triples())
+                  if d >= threshold]
+    payloads = [(code1, code2, [rows for _, rows in chunk], args.n, rate, grid[0])
                 for chunk in _chunked(contenders, args.jobs)]
     p2_values = [v for block in _pool_map(_search_p2, payloads, args.jobs)
                  for v in block]
-    dist_of = {rows: d for d, rows in survivors}
     ranked = sorted(
-        ((dist_of[rows], p2, rows) for rows, p2 in zip(contenders, p2_values)),
+        ((d, p2, rows) for (d, rows), p2 in zip(contenders, p2_values)),
         key=lambda item: (-item[0], item[1],
                           tuple(row_to_string(r) for r in item[2])))
 
     entries = {
-        "gr1": octals[0], "gf1": octals[1], "gr2": octals[2], "gf2": octals[3],
+        "gr1": code1.feedback.to_octal(), "gf1": code1.feedforward.to_octal(),
+        "gr2": code2.feedback.to_octal(), "gf2": code2.feedforward.to_octal(),
         "rate": rate, "period": m, "n": args.n, "snr": _snr_text(grid),
-        "top": args.top, "candidates": count, "feasible": len(survivors),
+        "top": args.top, "candidates": count, "feasible": feasible,
     }
     header = "rank,sys,par1,par2,d_free_eff,p2"
     rows_out = [

@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from .puncture import as_row, extend_row, punctured_core_weights
-from .rsc import RscCode, core_weight, step, weight2_parity_response
+from .rsc import RscCode, core_weight, weight2_parity_response
 
 
 @dataclass(frozen=True)
 class Cwef:
     """Sparse enumerator {(systematic weight, parity weight): count} for
     one input weight w and block length n.  Counts are exact ints;
-    absent keys mean zero."""
+    absent keys mean zero.  The terms are read-only once built."""
 
     w: int
     n: int
@@ -35,14 +36,18 @@ class Cwef:
         lines += [f"{u} {z} {c}" for (u, z), c in sorted(self.terms.items())]
         return "\n".join(lines) + "\n"
 
+    @cached_property
+    def _minima(self) -> tuple[int, int]:
+        if not self.terms:
+            raise ValueError("empty enumerator has no minimum weights")
+        return (min(u + z for u, z in self.terms),
+                min(z for _, z in self.terms))
+
 
 def min_weights(c: Cwef) -> tuple[int, int]:
-    """(minimum u+z, minimum z) over the stored terms."""
-    if not c.terms:
-        raise ValueError("empty enumerator has no minimum weights")
-    d_min = min(u + z for u, z in c.terms)
-    z_min = min(z for _, z in c.terms)
-    return d_min, z_min
+    """(minimum u+z, minimum z) over the stored terms, found once per
+    enumerator: a search asks for them once per candidate triple."""
+    return c._minima
 
 
 def group_multiplicity(n: int, k: int, l_period: int, m_period: int, m: int) -> int:
@@ -60,8 +65,7 @@ def _parity_profile(code: RscCode, k: int) -> tuple[int, ...]:
     # parity of every transition on the weight-2 path: diverge, kL-1
     # cycle steps, remerge (always 1 since G_F has constant term 1)
     y = weight2_parity_response(code)
-    _, _, diverge = step(code, 0, 1)
-    return (diverge,) + (y * k)[: k * code.period - 1] + (1,)
+    return (code.impulse_parity[0],) + (y * k)[: k * code.period - 1] + (1,)
 
 
 def path_weights(code: RscCode, p_u, p_z, k: int, m: int) -> tuple[int, int]:
@@ -111,8 +115,7 @@ def cwef_w2_punctured(code: RscCode, p_u, p_z, n: int) -> Cwef:
     pu = extend_row(p_u, m_period)
     pz = extend_row(p_z, m_period)
     z_cores = punctured_core_weights(code, pz)
-    _, _, diverge = step(code, 0, 1)
-    y_last = weight2_parity_response(code)[-1]
+    diverge, y_last = code.impulse_parity[0], code.impulse_parity[-1]
 
     terms: dict[tuple[int, int], int] = {}
     core_acc = [0] * m_period   # sum of shifted core weights over j = 0..k-1

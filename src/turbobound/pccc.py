@@ -99,48 +99,75 @@ def _pack(counts: dict[int, int], low: int, high: int, width: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def combine_uniform_interleaver(a1: Cwef, a2: Cwef, n: int, w: int) -> PcccCwef:
-    """Average the pair of constituent enumerators over all interleavers.
+def _convolve(x: dict[int, int], y: dict[int, int]):
+    """Exact convolution of two sparse non-negative count vectors as one
+    big-int product; yields its nonzero (index, count) pairs in order."""
+    # a product slot sums at most min(|x|, |y|) products of two counts,
+    # so it stays below 256**width and never carries into the next slot
+    largest = max(x.values()) * max(y.values()) * min(len(x), len(y))
+    width = largest.bit_length() // 8 + 1
+    x_low, x_high, y_low, y_high = min(x), max(x), min(y), max(y)
+    slots = x_high - x_low + y_high - y_low + 1
+    product = _pack(x, x_low, x_high, width) * _pack(y, y_low, y_high, width)
+    raw = memoryview(product.to_bytes(slots * width, "little"))
+    for i in range(slots):
+        c = int.from_bytes(raw[i * width:(i + 1) * width], "little")
+        if c:
+            yield x_low + y_low + i, c
 
-    The second encoder's systematic bits are never transmitted, so a2 is
-    first projected onto its parity weight alone.  For each systematic
-    weight u of a1 the two parity-count vectors are then convolved
-    exactly in one big-int product, and every count is divided exactly
-    by the number of weight-w positions.
-    """
+
+def _check_pair(a1: Cwef, a2: Cwef, n: int, w: int) -> None:
     if a1.w != w or a2.w != w:
         raise ValueError(f"weight mismatch: {a1.w}, {a2.w} vs requested {w}")
     if a1.n != n or a2.n != n:
         raise ValueError(f"length mismatch: {a1.n}, {a2.n} vs requested {n}")
+
+
+def _z_marginal(a: Cwef) -> dict[int, int]:
+    # the second encoder's systematic bits are never transmitted
+    out: dict[int, int] = {}
+    for (_, z), c in a.terms.items():
+        out[z] = out.get(z, 0) + c
+    return out
+
+
+def combine_uniform_interleaver(a1: Cwef, a2: Cwef, n: int, w: int) -> PcccCwef:
+    """Average the pair of constituent enumerators over all interleavers.
+
+    a2 is projected onto its parity weight alone.  For each systematic
+    weight u of a1 the two parity-count vectors are then convolved
+    exactly, and every count is divided by the number of weight-w
+    positions.
+    """
+    _check_pair(a1, a2, n, w)
     terms: dict[tuple[int, int], Fraction] = {}
     if not a1.terms or not a2.terms:
         return PcccCwef(w, n, terms)
-    z_marginal: dict[int, int] = {}
-    for (_, z2), c in a2.terms.items():
-        z_marginal[z2] = z_marginal.get(z2, 0) + c
+    z_marginal = _z_marginal(a2)
     by_u: dict[int, dict[int, int]] = {}
     for (u1, z1), c in a1.terms.items():
         by_u.setdefault(u1, {})[z1] = c
-    # a product slot sums at most min(|A1|, |Z2|) products of two counts,
-    # so it stays below 256**width and never carries into the next slot
-    largest = (max(a1.terms.values()) * max(z_marginal.values())
-               * min(len(a1.terms), len(z_marginal)))
-    width = largest.bit_length() // 8 + 1
-    z2_low, z2_high = min(z_marginal), max(z_marginal)
-    packed2 = _pack(z_marginal, z2_low, z2_high, width)
     denom = comb(n, w)
     for u in sorted(by_u):
-        column = by_u[u]
-        low, high = min(column), max(column)
-        slots = high - low + z2_high - z2_low + 1
-        product = _pack(column, low, high, width) * packed2
-        raw = memoryview(product.to_bytes(slots * width, "little"))
-        base = low + z2_low
-        for i in range(slots):
-            c = int.from_bytes(raw[i * width:(i + 1) * width], "little")
-            if c:
-                terms[(u, base + i)] = Fraction(c, denom)
+        for z, c in _convolve(by_u[u], z_marginal):
+            terms[(u, z)] = Fraction(c, denom)
     return PcccCwef(w, n, terms)
+
+
+def distance_spectrum(a1: Cwef, a2: Cwef, n: int, w: int) -> IowefSlice:
+    """Distance spectrum of the concatenation behind the uniform
+    interleaver, iowef_slice(combine_uniform_interleaver(a1, a2, n, w)),
+    in one product: a1 projected onto d = u + z convolved with a2
+    projected onto z, one exact Fraction per distance."""
+    _check_pair(a1, a2, n, w)
+    if not a1.terms or not a2.terms:
+        return IowefSlice(w, {})
+    d_marginal: dict[int, int] = {}
+    for (u, z), c in a1.terms.items():
+        d_marginal[u + z] = d_marginal.get(u + z, 0) + c
+    denom = comb(n, w)
+    return IowefSlice(w, {d: Fraction(c, denom) for d, c
+                          in _convolve(d_marginal, _z_marginal(a2))})
 
 
 def iowef_slice(a: PcccCwef) -> IowefSlice:
@@ -199,7 +226,7 @@ def constituent_cwefs_w2(config: PcccConfig) -> tuple[Cwef, Cwef]:
 def p2_slice(config: PcccConfig) -> IowefSlice:
     """Distance spectrum of the dominant weight-2 term, closed forms only."""
     a1, a2 = constituent_cwefs_w2(config)
-    return iowef_slice(combine_uniform_interleaver(a1, a2, config.n, 2))
+    return distance_spectrum(a1, a2, config.n, 2)
 
 
 def _as_points(raw_values, ebn0_db) -> tuple[BoundPoint, ...]:
@@ -253,8 +280,7 @@ def truncated_union_bound(config: PcccConfig, w_max: int = DEFAULT_W_MAX,
     truncated = r1.truncated or r2.truncated
     per_weight: dict[int, tuple[float, ...]] = {}
     for w in range(2, w_max + 1):
-        sl = iowef_slice(combine_uniform_interleaver(
-            r1.for_weight(w), r2.for_weight(w), config.n, w))
+        sl = distance_spectrum(r1.for_weight(w), r2.for_weight(w), config.n, w)
         kept = {d: c for d, c in sl.coeffs.items() if d <= d_max}
         if len(kept) < len(sl.coeffs):
             truncated = True

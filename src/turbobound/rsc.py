@@ -51,6 +51,20 @@ class RscCode:
         """Period L of the feedback polynomial: the zero-input state cycle length."""
         return period(self.feedback)
 
+    @cached_property
+    def impulse_parity(self) -> tuple[int, ...]:
+        """Parity bits y_0..y_L of a single 1 input from the zero state
+        followed by L zero inputs; y_0 is the parity of the diverging
+        transition."""
+        state, _, first = step(self, 0, 1)
+        resp = [first]
+        for _ in range(self.period):
+            state, _, p = step(self, state, 0)
+            resp.append(p)
+        if state != 1 << (self.nu - 1):
+            raise AssertionError("state cycle did not close after one period")
+        return tuple(resp)
+
     @property
     def n_states(self) -> int:
         return 1 << self.nu
@@ -89,16 +103,9 @@ def weight2_parity_response(code: RscCode) -> tuple[int, ...]:
 
     The state walks 2^(nu-1) -> ... -> 1 -> 2^(nu-1), so y_L is the
     parity of the transition out of state 1; it is 0 whenever the
-    feedforward polynomial has full degree nu.
+    feedforward polynomial has full degree nu.  Computed once per code.
     """
-    state, _, _ = step(code, 0, 1)
-    resp = []
-    for _ in range(code.period):
-        state, _, p = step(code, state, 0)
-        resp.append(p)
-    if state != 1 << (code.nu - 1):
-        raise AssertionError("state cycle did not close after one period")
-    return tuple(resp)
+    return code.impulse_parity[1:]
 
 
 def core_weight(code: RscCode) -> int:

@@ -1,15 +1,19 @@
 """Command-line interface: parsing, exit codes, reports, reproducibility."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import turbobound.cli as cli
 import turbobound.pccc as pccc
 from turbobound.cli import argv_from_metadata, entrypoint
+from turbobound.cwef import cwef_w2_punctured
 from turbobound.oracle import GRID_CODES, CaseResult, GridCase, VerificationReport
-from turbobound.pccc import PcccConfig, free_effective_distance, p2_approximation
-from turbobound.puncture import PcccPunctureSet, row_from_string
+from turbobound.pccc import (PcccConfig, d_free_eff, free_effective_distance,
+                             p2_approximation)
+from turbobound.puncture import (PcccPunctureSet, probe_length, row_from_string,
+                                 row_to_string)
 from turbobound.rsc import RscCode
 
 
@@ -135,6 +139,17 @@ def test_bound_computes_constituent_cwefs_once(monkeypatch, capsys):
                        "--wmax", "2")
     assert code == 0 and "# d_free_eff = " in out
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("snr", ["0:inf:1", "nan", "1e400", "0:5:0.0005"])
+def test_bound_rejects_bad_snr_grid(capsys, snr):
+    # non-finite values and grids past MAX_SNR_POINTS (10001 points here)
+    # are refused before any point is built
+    code, out, err = run(capsys, "bound", "--gr1", "15", "--gf1", "17",
+                         "--pseudo", "A", "--n", "100", "--wmax", "2",
+                         "--snr", snr)
+    assert code == 2 and out == ""
+    assert "turbobound: error: --snr" in err
 
 
 def test_bound_metadata_round_trip(tmp_path, capsys):
@@ -343,6 +358,69 @@ def test_search_jobs_splits_work(monkeypatch, tmp_path, capsys):
     assert reports[0] == reports[1]
     assert sizes[:2] == [(1, 1), (1, 1)]
     assert sizes[2] == (2, 2)   # screening of C(12, 6) = 924 candidates
+
+
+def naive_ranking(gr, gf, rate, m, n, db, top):
+    # every candidate triple on its own: both enumerators rebuilt, the
+    # library distance rule, the library P(2) of every surviving triple
+    code = RscCode.from_octals(gr, gf)
+    probe = probe_length(code, m)
+    kept = m * rate.denominator // rate.numerator
+    ranked = []
+    for pos in combinations(range(3 * m), kept):
+        bits = tuple(int(i in pos) for i in range(3 * m))
+        rows = (bits[:m], bits[m:2 * m], bits[2 * m:])
+        a1 = cwef_w2_punctured(code, rows[0], rows[1], probe)
+        a2 = cwef_w2_punctured(code, (0,) * m, rows[2], probe)
+        d = d_free_eff(a1, a2)
+        if d > 0:
+            config = PcccConfig(code, code, PcccPunctureSet(*rows), n)
+            p2 = p2_approximation(config, (db,)).points[0].raw
+            ranked.append((-d, p2, tuple(map(row_to_string, rows))))
+    ranked.sort()
+    body = [",".join((str(i + 1), *strings, str(-d), f"{p2:.11e}"))
+            for i, (d, p2, strings) in enumerate(ranked[:top])]
+    return len(ranked), body
+
+
+@pytest.mark.parametrize("gr,gf", GRID_CODES)
+def test_search_matches_naive_ranking(tmp_path, capsys, gr, gf):
+    for rate, m in (("1/2", 2), ("1/2", 3), ("2/3", 2), ("3/4", 3)):
+        feasible, body = naive_ranking(gr, gf, Fraction(rate), m, 150, 5.0, 10)
+        for jobs in ("1", "2"):
+            target = tmp_path / f"rank{jobs}.csv"
+            assert run(capsys, "search", "--gr1", gr, "--gf1", gf,
+                       "--rate", rate, "--period", str(m), "--n", "150",
+                       "--snr", "5", "--top", "10", "--jobs", jobs,
+                       "--out", str(target))[0] == 0
+            lines = target.read_text().splitlines()
+            assert f"# feasible = {feasible}" in lines
+            header = lines.index("rank,sys,par1,par2,d_free_eff,p2")
+            assert lines[header + 1:] == body, (rate, m, jobs)
+
+
+def test_search_builds_each_row_once(monkeypatch, capsys):
+    # screening builds one probe-length enumerator per distinct
+    # constituent-1 pair and par2 row, and P(2) one per distinct row at n
+    calls = []
+    real = cwef_w2_punctured
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "cwef_w2_punctured", counted)
+    monkeypatch.setattr(pccc, "cwef_w2_punctured", counted)
+    pccc.constituent_cwefs_w2.cache_clear()
+    pccc.p2_slice.cache_clear()
+    code, out, _ = run(capsys, "search", "--gr1", "15", "--gf1", "17",
+                       "--rate", "2/3", "--period", "4", "--n", "200")
+    assert code == 0 and "# candidates = 924" in out
+    probe = [args for args in calls if args[3] != 200]
+    at_n = [args for args in calls if args[3] == 200]
+    assert len(probe) <= 2**8 + 2**4
+    assert len(set(probe)) == len(probe)
+    assert len(set(at_n)) == len(at_n)
 
 
 def test_search_infeasible_rate(capsys):

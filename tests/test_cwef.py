@@ -1,6 +1,10 @@
 """Closed-form weight-2 enumerators against hand counts and the oracles."""
 
+import sys
+
 import pytest
+
+import turbobound.rsc as rsc
 
 from turbobound.cwef import (Cwef, cwef_w2_punctured, cwef_w2_unpunctured,
                              group_multiplicity, min_weights, path_weights)
@@ -176,3 +180,25 @@ def test_punctured_agrees_with_path_weights():
                 key = path_weights(code, pu, pz, k, m)
                 expected[key] = expected.get(key, 0) + cnt
     assert cwef_w2_punctured(code, pu, pz, n).terms == expected
+
+
+def test_weight2_response_computed_once_per_code(monkeypatch):
+    # the impulse response depends on the code alone, so one code object
+    # walks the encoder for it once: L + 1 steps, however many enumerators
+    calls = []
+    real = rsc.step
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("turbobound") and getattr(module, "step", None) is real:
+            monkeypatch.setattr(module, "step", counted)
+    code = RscCode.from_octals("15", "17")
+    rows = [(p_u, p_z) for p_u in ("1", "10", "0110") for p_z in ("1", "01", "1101")]
+    for i in range(100):
+        p_u, p_z = rows[i % len(rows)]
+        cwef_w2_punctured(code, row_from_string(p_u), row_from_string(p_z),
+                          30 + i)
+    assert len(calls) <= code.period + 1

@@ -4,18 +4,22 @@ The uniform-interleaver combine convolves integer count vectors in one
 big-int product, the distance spectrum sums integer numerators, and the
 union sum divides ints and stops at the first Q that is exactly 0.0.
 Each is checked here against the plain Fraction arithmetic it replaced.
+The one-product distance spectrum is checked against the combine
+followed by the spectrum sum.
 """
 
 import math
 from fractions import Fraction
 from math import comb
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from turbobound.cwef import Cwef
 from turbobound.pccc import (IowefSlice, PcccCwef, combine_uniform_interleaver,
-                             iowef_slice, q_function, union_bound_term)
+                             distance_spectrum, iowef_slice, q_function,
+                             union_bound_term)
 
 N = 400
 
@@ -86,6 +90,31 @@ def test_combine_matches_nested_loop(pair):
     assert list(got.terms) == list(want)   # same (u, z) order
 
 
+@settings(max_examples=300, deadline=None)
+@given(cwef_pairs())
+@example((Cwef(2, N, {}), Cwef(2, N, {})))
+@example((Cwef(3, N, {}), Cwef(3, N, {(1, 5): 2})))
+@example((Cwef(2, N, {(2, 3): 4}), Cwef(2, N, {})))
+@example((Cwef(2, N, {(0, 0): 1}), Cwef(2, N, {(0, 0): 1})))
+@example((Cwef(3, N, {(3, 7): 2**90}), Cwef(3, N, {(2, 9): 2**90})))
+# many (u, z) terms land on one distance, so the projected counts pass 2**90
+@example((Cwef(2, N, {(u, 50 - u): 2**90 for u in range(3)}),
+          Cwef(2, N, {(u, 7): 2**90 for u in range(3)})))
+# 300 overlapping products of the largest count fill a slot past 2**136
+@example((Cwef(2, N, {(2, z): 2**64 - 1 for z in range(300)}),
+          Cwef(2, N, {(0, z): 2**64 - 1 for z in range(300)})))
+def test_distance_spectrum_matches_combine_then_slice(pair):
+    a1, a2 = pair
+    got = distance_spectrum(a1, a2, N, a1.w)
+    want = iowef_slice(combine_uniform_interleaver(a1, a2, N, a1.w))
+    assert got == want
+    assert list(got.coeffs) == list(want.coeffs)   # ascending distance
+    # and against the Fraction arithmetic, which shares no product code
+    plain = PcccCwef(a1.w, N, nested_loop_combine(a1, a2, N, a1.w))
+    assert got.coeffs == fraction_sum_slice(plain)
+    assert all(isinstance(c, Fraction) for c in got.coeffs.values())
+
+
 fractions = st.builds(Fraction, st.integers(0, 2**70), st.integers(1, 2**70))
 
 
@@ -130,3 +159,11 @@ def test_q_function_reaches_zero_monotonically():
     qs = [q_function(x) for x in xs]
     assert all(a >= b for a, b in zip(qs, qs[1:]))
     assert qs[0] > 0.0 and qs[-1] == 0.0
+
+
+def test_distance_spectrum_rejects_mismatched_pair():
+    a1 = Cwef(2, 10, {(2, 3): 1})
+    with pytest.raises(ValueError, match="weight mismatch"):
+        distance_spectrum(a1, Cwef(3, 10, {}), 10, 2)
+    with pytest.raises(ValueError, match="length mismatch"):
+        distance_spectrum(a1, Cwef(2, 12, {}), 10, 2)
