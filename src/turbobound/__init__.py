@@ -20,7 +20,7 @@ from .cwef import (Cwef, cwef_w2_punctured, cwef_w2_unpunctured,
 from .oracle import (DpResult, GridCase, VerificationReport, brute_force_cwef,
                      default_verification_grid, diff_cwefs, exact_cwef_dp,
                      run_case, run_verification)
-from .pccc import (BoundCurve, BoundPoint, IowefSlice, PcccConfig, PcccCwef,
+from .pccc import (BoundCurve, BoundPoint, IowefSlice, PcccConfig,
                    TruncatedBound, combine_uniform_interleaver,
                    distance_spectrum, free_effective_distance, iowef_slice, p2_approximation,
                    p2_slice, q_function, truncated_union_bound,
@@ -39,7 +39,7 @@ __all__ = [
     "DpResult", "GridCase", "VerificationReport", "brute_force_cwef",
     "default_verification_grid", "diff_cwefs", "exact_cwef_dp", "run_case",
     "run_verification",
-    "BoundCurve", "BoundPoint", "IowefSlice", "PcccConfig", "PcccCwef",
+    "BoundCurve", "BoundPoint", "IowefSlice", "PcccConfig",
     "TruncatedBound", "combine_uniform_interleaver", "distance_spectrum",
     "free_effective_distance",
     "iowef_slice", "p2_approximation", "p2_slice", "q_function",

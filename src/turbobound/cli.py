@@ -35,6 +35,9 @@ from .rsc import RscCode
 
 MAX_BLOCK = 10**6
 MAX_SNR_POINTS = 10**4
+# 10 ** (dB / 10) overflows a float past about 3083 dB, while every
+# union-bound term of nonzero distance is exactly 0.0 from about 34 dB on
+MAX_SNR_DB = 3000
 SEARCH_CANDIDATE_LIMIT = 1_000_000
 _PROB = "{:.11e}"  # 12 significant digits, fixed width
 
@@ -67,6 +70,10 @@ def _parse_snr(text: str) -> tuple[float, ...]:
             f"--snr wants START:STOP:STEP or a single value, got {text!r}") from None
     if not all(map(math.isfinite, values)):
         raise ValueError(f"--snr values must be finite, got {text!r}")
+    # the single value, or the start and stop of a grid
+    if max(values[:2]) > MAX_SNR_DB:
+        raise ValueError(
+            f"--snr values must not exceed {MAX_SNR_DB} dB, got {text!r}")
     if len(values) == 1:
         return (values[0],)
     start, stop, step = values

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from itertools import combinations, product
 from math import comb
 from operator import xor
@@ -71,12 +71,6 @@ def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
         d_cap = d_max
     if sum(comb(n, w) for w in range(w_max + 1)) >= 2**62:
         raise ValueError("path counts would overflow 64-bit accumulation")
-    return _dp_cached(code, p_u, p_z, n, w_max, d_cap, include_w0)
-
-
-@lru_cache(maxsize=32)
-def _dp_cached(code: RscCode, p_u: tuple, p_z: tuple, n: int, w_max: int,
-               d_cap: int, include_w0: bool) -> DpResult:
     n_states = code.n_states
     # one flat row per state over (w, u, d = u + z), so that a transition
     # adds one contiguous slice at one offset; two spare d cells take

@@ -2,8 +2,10 @@
 
 The two constituent enumerators are joined through the uniform
 interleaver average, collapsed to a distance spectrum, and fed into the
-union bound on bit-error probability.  Coefficient arithmetic stays in
-exact rationals until each term meets the Gaussian tail factor.
+union bound on bit-error probability.  Behind the uniform interleaver
+every weight-w coefficient is an integer count over the one denominator
+C(n, w), so enumerators and spectra hold exact int counts, and each term
+is divided by C(n, w) only where it meets the Gaussian tail factor.
 """
 
 from __future__ import annotations
@@ -47,21 +49,13 @@ class PcccConfig:
 
 
 @dataclass(frozen=True)
-class PcccCwef:
-    """Conditional enumerator of the concatenation, rational coefficients."""
-
-    w: int
-    n: int
-    terms: dict[tuple[int, int], Fraction]
-
-    def total(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
-
-
-@dataclass(frozen=True)
 class IowefSlice:
+    """Distance spectrum {d: count} of input weight w.  Behind a uniform
+    interleaver of size n the coefficient of distance d is
+    count / C(n, w)."""
+
     w: int
-    coeffs: dict[int, Fraction]
+    coeffs: dict[int, int]
 
     def min_distance(self) -> int:
         if not self.coeffs:
@@ -123,64 +117,56 @@ def _check_pair(a1: Cwef, a2: Cwef, n: int, w: int) -> None:
         raise ValueError(f"length mismatch: {a1.n}, {a2.n} vs requested {n}")
 
 
-def _z_marginal(a: Cwef) -> dict[int, int]:
-    # the second encoder's systematic bits are never transmitted
+def _marginal(a: Cwef, u_weight: int) -> dict[int, int]:
+    """Counts of a summed by u_weight * u + z: by distance u + z for 1,
+    by parity weight alone for 0."""
     out: dict[int, int] = {}
-    for (_, z), c in a.terms.items():
-        out[z] = out.get(z, 0) + c
+    for (u, z), c in a.terms.items():
+        key = u_weight * u + z
+        out[key] = out.get(key, 0) + c
     return out
 
 
-def combine_uniform_interleaver(a1: Cwef, a2: Cwef, n: int, w: int) -> PcccCwef:
+def combine_uniform_interleaver(a1: Cwef, a2: Cwef, n: int, w: int) -> Cwef:
     """Average the pair of constituent enumerators over all interleavers.
 
-    a2 is projected onto its parity weight alone.  For each systematic
-    weight u of a1 the two parity-count vectors are then convolved
-    exactly, and every count is divided by the number of weight-w
-    positions.
+    a2 is projected onto its parity weight alone, since the second
+    encoder's systematic bits are never transmitted.  For each
+    systematic weight u of a1 the two parity-count vectors are then
+    convolved exactly.  The result holds summed counts: the averaged
+    coefficient of (u, z) is its count over C(n, w), the number of
+    weight-w inputs.
     """
     _check_pair(a1, a2, n, w)
-    terms: dict[tuple[int, int], Fraction] = {}
+    terms: dict[tuple[int, int], int] = {}
     if not a1.terms or not a2.terms:
-        return PcccCwef(w, n, terms)
-    z_marginal = _z_marginal(a2)
+        return Cwef(w, n, terms)
+    z_marginal = _marginal(a2, 0)
     by_u: dict[int, dict[int, int]] = {}
     for (u1, z1), c in a1.terms.items():
         by_u.setdefault(u1, {})[z1] = c
-    denom = comb(n, w)
     for u in sorted(by_u):
         for z, c in _convolve(by_u[u], z_marginal):
-            terms[(u, z)] = Fraction(c, denom)
-    return PcccCwef(w, n, terms)
+            terms[(u, z)] = c
+    return Cwef(w, n, terms)
 
 
 def distance_spectrum(a1: Cwef, a2: Cwef, n: int, w: int) -> IowefSlice:
     """Distance spectrum of the concatenation behind the uniform
     interleaver, iowef_slice(combine_uniform_interleaver(a1, a2, n, w)),
     in one product: a1 projected onto d = u + z convolved with a2
-    projected onto z, one exact Fraction per distance."""
+    projected onto z."""
     _check_pair(a1, a2, n, w)
     if not a1.terms or not a2.terms:
         return IowefSlice(w, {})
-    d_marginal: dict[int, int] = {}
-    for (u, z), c in a1.terms.items():
-        d_marginal[u + z] = d_marginal.get(u + z, 0) + c
-    denom = comb(n, w)
-    return IowefSlice(w, {d: Fraction(c, denom) for d, c
-                          in _convolve(d_marginal, _z_marginal(a2))})
+    return IowefSlice(w, dict(_convolve(_marginal(a1, 1), _marginal(a2, 0))))
 
 
-def iowef_slice(a: PcccCwef) -> IowefSlice:
-    """Distance spectrum: the coefficients of equal u + z, summed as
-    integer numerators over the common denominator of the terms."""
-    denom = math.lcm(*{c.denominator for c in a.terms.values()})
-    numerators: dict[int, int] = {}
-    for (u, z), c in a.terms.items():
-        d = u + z
-        numerators[d] = (numerators.get(d, 0)
-                         + c.numerator * (denom // c.denominator))
-    return IowefSlice(a.w, {d: Fraction(numerators[d], denom)
-                            for d in sorted(numerators)})
+def iowef_slice(a: Cwef) -> IowefSlice:
+    """Distance spectrum of a combined enumerator: the counts of equal
+    u + z summed, in ascending distance."""
+    counts = _marginal(a, 1)
+    return IowefSlice(a.w, {d: counts[d] for d in sorted(counts)})
 
 
 def q_function(x: float) -> float:
@@ -195,21 +181,23 @@ def q_function(x: float) -> float:
 
 
 def union_bound_term(b: IowefSlice, n: int, rate, ebn0_db: float) -> float:
-    """Contribution P(w) of one input weight to the union bound."""
+    """Contribution P(w) of one input weight to the union bound: the sum
+    over d of (w / n) * (count_d / C(n, w)) * Q(sqrt(2 R Eb/N0 d))."""
     rate = Fraction(rate)
     if not 0 < rate < 1:
         raise ValueError(f"rate {rate} outside (0, 1)")
     if n < 1:
         raise ValueError("block length must be positive")
     scale = 2.0 * float(rate) * 10.0 ** (ebn0_db / 10.0)
+    denom = n * comb(n, b.w)
     summands = []
-    for d, coeff in sorted(b.coeffs.items()):
+    for d, c in sorted(b.coeffs.items()):
         q = q_function(math.sqrt(scale * d))
         if q == 0.0:
             # Q does not increase with d, so every later summand is 0.0
             break
-        # int / int is correctly rounded: float(Fraction(b.w, n) * coeff)
-        summands.append(b.w * coeff.numerator / (n * coeff.denominator) * q)
+        # int / int is correctly rounded: float(Fraction(b.w * c, denom))
+        summands.append(b.w * c / denom * q)
     return math.fsum(summands)
 
 
@@ -222,7 +210,6 @@ def constituent_cwefs_w2(config: PcccConfig) -> tuple[Cwef, Cwef]:
             cwef_w2_punctured(config.code2, c2.p_u, c2.p_z, config.n))
 
 
-@lru_cache(maxsize=64)
 def p2_slice(config: PcccConfig) -> IowefSlice:
     """Distance spectrum of the dominant weight-2 term, closed forms only."""
     a1, a2 = constituent_cwefs_w2(config)
@@ -253,15 +240,6 @@ class TruncatedBound:
     per_weight: dict[int, tuple[float, ...]]
 
 
-@lru_cache(maxsize=32)
-def _constituent_dp_slices(config: PcccConfig, w_max: int, d_max: int):
-    c1 = config.punctures.constituent1()
-    c2 = config.punctures.constituent2()
-    r1 = exact_cwef_dp(config.code1, c1.p_u, c1.p_z, config.n, w_max, d_max)
-    r2 = exact_cwef_dp(config.code2, c2.p_u, c2.p_z, config.n, w_max, d_max)
-    return r1, r2
-
-
 def truncated_union_bound(config: PcccConfig, w_max: int = DEFAULT_W_MAX,
                           d_max: int = DEFAULT_D_MAX, ebn0_db=()) -> TruncatedBound:
     """Union bound over input weights 2..w_max, distances capped at d_max.
@@ -276,7 +254,10 @@ def truncated_union_bound(config: PcccConfig, w_max: int = DEFAULT_W_MAX,
         raise ValueError("w_max must be at least 2")
     if d_max < 1:
         raise ValueError("d_max must be positive")
-    r1, r2 = _constituent_dp_slices(config, w_max, d_max)
+    c1 = config.punctures.constituent1()
+    c2 = config.punctures.constituent2()
+    r1 = exact_cwef_dp(config.code1, c1.p_u, c1.p_z, config.n, w_max, d_max)
+    r2 = exact_cwef_dp(config.code2, c2.p_u, c2.p_z, config.n, w_max, d_max)
     truncated = r1.truncated or r2.truncated
     per_weight: dict[int, tuple[float, ...]] = {}
     for w in range(2, w_max + 1):

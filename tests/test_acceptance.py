@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb
 
 import mpmath as mp
 import pytest
@@ -227,8 +228,8 @@ def test_criterion_8_numerical_hygiene():
         for db in (2.0, 4.0, 6.0, 8.0):
             scale = 2 * mp.mpf(cfg.rate.numerator) / cfg.rate.denominator \
                 * mp.mpf(10) ** (mp.mpf(db) / 10)
-            def exact(coeff):
-                f = Fraction(2, cfg.n) * coeff
+            def exact(c):
+                f = Fraction(2 * c, cfg.n * comb(cfg.n, 2))
                 return mp.mpf(f.numerator) / f.denominator
 
             want = mp.fsum(

@@ -132,8 +132,7 @@ def test_bound_computes_constituent_cwefs_once(monkeypatch, capsys):
         return real(*args)
 
     monkeypatch.setattr(pccc, "cwef_w2_punctured", counted)
-    # no other test runs this config, so no cache holds it yet
-    pccc.p2_slice.cache_clear()
+    # no other test runs this config, so the one-entry cache cannot hold it
     code, out, _ = run(capsys, "bound", "--gr1", "23", "--gf1", "35",
                        "--pseudo", "A", "--n", "1234", "--snr", "2:4:1",
                        "--wmax", "2")
@@ -141,7 +140,8 @@ def test_bound_computes_constituent_cwefs_once(monkeypatch, capsys):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("snr", ["0:inf:1", "nan", "1e400", "0:5:0.0005"])
+@pytest.mark.parametrize("snr", ["0:inf:1", "nan", "1e400", "0:5:0.0005",
+                                 "0:3083:1000"])
 def test_bound_rejects_bad_snr_grid(capsys, snr):
     # non-finite values and grids past MAX_SNR_POINTS (10001 points here)
     # are refused before any point is built
@@ -150,6 +150,25 @@ def test_bound_rejects_bad_snr_grid(capsys, snr):
                          "--snr", snr)
     assert code == 2 and out == ""
     assert "turbobound: error: --snr" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--gr1", "15", "--gf1", "17", "--pseudo", "A", "--n", "100",
+     "--wmax", "2"),
+    ("search", "--gr1", "15", "--gf1", "17", "--rate", "1/2", "--period", "2",
+     "--n", "100"),
+])
+@pytest.mark.parametrize("snr,want", [("3000", 0), ("3083", 2), ("4000", 2),
+                                      ("1e300", 2)])
+def test_snr_ceiling(capsys, argv, snr, want):
+    # 10 ** (dB / 10) overflows a float past about 3083 dB
+    code, out, err = run(capsys, *argv, "--snr", snr)
+    assert code == want
+    if want:
+        assert out == ""
+        assert "--snr values must not exceed 3000 dB" in err
+    else:
+        assert err == ""
 
 
 def test_bound_metadata_round_trip(tmp_path, capsys):
@@ -412,7 +431,6 @@ def test_search_builds_each_row_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cwef_w2_punctured", counted)
     monkeypatch.setattr(pccc, "cwef_w2_punctured", counted)
     pccc.constituent_cwefs_w2.cache_clear()
-    pccc.p2_slice.cache_clear()
     code, out, _ = run(capsys, "search", "--gr1", "15", "--gf1", "17",
                        "--rate", "2/3", "--period", "4", "--n", "200")
     assert code == 0 and "# candidates = 924" in out

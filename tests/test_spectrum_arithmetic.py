@@ -1,11 +1,12 @@
 """Randomized differential tests of the spectrum arithmetic.
 
 The uniform-interleaver combine convolves integer count vectors in one
-big-int product, the distance spectrum sums integer numerators, and the
+big-int product, the distance spectrum sums integer counts, and the
 union sum divides ints and stops at the first Q that is exactly 0.0.
-Each is checked here against the plain Fraction arithmetic it replaced.
-The one-product distance spectrum is checked against the combine
-followed by the spectrum sum.
+Every count is over the one denominator C(n, w).  Each is checked here,
+through Fraction(count, C(n, w)), against the plain Fraction arithmetic
+it replaced.  The one-product distance spectrum is checked against the
+combine followed by the spectrum sum.
 """
 
 import math
@@ -13,11 +14,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from turbobound.cwef import Cwef
-from turbobound.pccc import (IowefSlice, PcccCwef, combine_uniform_interleaver,
+from turbobound.pccc import (IowefSlice, combine_uniform_interleaver,
                              distance_spectrum, iowef_slice, q_function,
                              union_bound_term)
 
@@ -38,18 +39,23 @@ def nested_loop_combine(a1, a2, n, w):
     return {key: Fraction(raw[key], denom) for key in sorted(raw)}
 
 
-def fraction_sum_slice(a):
+def fraction_sum_slice(terms):
     coeffs = {}
-    for (u, z), c in a.terms.items():
+    for (u, z), c in terms.items():
         coeffs[u + z] = coeffs.get(u + z, Fraction(0)) + c
     return {d: coeffs[d] for d in sorted(coeffs)}
+
+
+def as_fractions(counts, n, w):
+    return {key: Fraction(c, comb(n, w)) for key, c in counts.items()}
 
 
 def fraction_union_sum(b, n, rate, ebn0_db):
     scale = 2.0 * float(rate) * 10.0 ** (ebn0_db / 10.0)
     return math.fsum(
-        float(Fraction(b.w, n) * coeff) * q_function(math.sqrt(scale * d))
-        for d, coeff in sorted(b.coeffs.items()))
+        float(Fraction(b.w, n) * Fraction(c, comb(n, b.w)))
+        * q_function(math.sqrt(scale * d))
+        for d, c in sorted(b.coeffs.items()))
 
 
 # counts are positive, as every producer stores them (absent keys are
@@ -86,8 +92,9 @@ def test_combine_matches_nested_loop(pair):
     a1, a2 = pair
     got = combine_uniform_interleaver(a1, a2, N, a1.w)
     want = nested_loop_combine(a1, a2, N, a1.w)
-    assert got.terms == want
+    assert as_fractions(got.terms, N, a1.w) == want
     assert list(got.terms) == list(want)   # same (u, z) order
+    assert all(isinstance(c, int) for c in got.terms.values())
 
 
 @settings(max_examples=300, deadline=None)
@@ -110,33 +117,35 @@ def test_distance_spectrum_matches_combine_then_slice(pair):
     assert got == want
     assert list(got.coeffs) == list(want.coeffs)   # ascending distance
     # and against the Fraction arithmetic, which shares no product code
-    plain = PcccCwef(a1.w, N, nested_loop_combine(a1, a2, N, a1.w))
-    assert got.coeffs == fraction_sum_slice(plain)
-    assert all(isinstance(c, Fraction) for c in got.coeffs.values())
-
-
-fractions = st.builds(Fraction, st.integers(0, 2**70), st.integers(1, 2**70))
+    want = fraction_sum_slice(nested_loop_combine(a1, a2, N, a1.w))
+    assert as_fractions(got.coeffs, N, a1.w) == want
+    assert all(isinstance(c, int) for c in got.coeffs.values())
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 60)),
-                       fractions, max_size=40))
+                       st.integers(1, 2**70), max_size=40))
 def test_iowef_slice_matches_fraction_sum(terms):
-    sl = iowef_slice(PcccCwef(2, N, terms))
-    want = fraction_sum_slice(PcccCwef(2, N, terms))
-    assert sl.coeffs == want
+    sl = iowef_slice(Cwef(2, N, terms))
+    want = fraction_sum_slice(as_fractions(terms, N, 2))
+    assert as_fractions(sl.coeffs, N, 2) == want
     assert list(sl.coeffs) == list(want)
-    assert all(isinstance(c, Fraction) for c in sl.coeffs.values())
+    assert all(isinstance(c, int) for c in sl.coeffs.values())
 
 
 @settings(max_examples=300, deadline=None)
-@given(w=st.sampled_from((2, 3, 4)),
-       coeffs=st.dictionaries(st.integers(0, 3000), fractions, max_size=60),
+@given(w=st.sampled_from((2, 3, 4, 5, 6)),
+       coeffs=st.dictionaries(st.integers(0, 3000), st.integers(0, 2**140),
+                              max_size=60),
        n=st.integers(1, 10**6),
        rate=st.sampled_from((Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
                              Fraction(3, 4), Fraction(7, 8))),
        ebn0_db=st.floats(-3.0, 25.0))
+# n * C(n, 6) passes 2**130, far beyond what a float holds exactly
+@example(w=6, coeffs={d: 2**140 - d for d in range(20, 40)}, n=10**6,
+         rate=Fraction(1, 2), ebn0_db=2.0)
 def test_union_bound_term_matches_fraction_sum(w, coeffs, n, rate, ebn0_db):
+    assume(n >= w)   # no weight-w input fits in a shorter block
     b = IowefSlice(w, coeffs)
     assert (union_bound_term(b, n, rate, ebn0_db)
             == fraction_union_sum(b, n, rate, ebn0_db))
@@ -147,7 +156,7 @@ def test_union_bound_term_past_underflow():
     # exactly 0.0 from d = 15 on, where the sum stops
     assert 0.0 < q_function(math.sqrt(100.0 * 14)) < 1e-300
     assert q_function(math.sqrt(100.0 * 15)) == 0.0
-    b = IowefSlice(2, {d: Fraction(d * 10**6, 7) for d in range(14, 400)})
+    b = IowefSlice(2, {d: d * 10**9 for d in range(14, 400)})
     got = union_bound_term(b, 1000, Fraction(1, 2), 20.0)
     assert got > 0.0
     assert got == fraction_union_sum(b, 1000, Fraction(1, 2), 20.0)
