@@ -169,17 +169,22 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     target = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tb-")
     try:
-        with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tb-")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        # a missing directory or a directory as target is a usage problem,
+        # not a failure inside the tool: name the path the user gave
+        raise ValueError(f"cannot write --out {path}: {exc.strerror or exc}") from None
 
 
 def cmd_bound(args) -> int:
@@ -233,10 +238,10 @@ def cmd_patterns(args) -> int:
     c2 = pset.constituent2()
     n1 = probe_length(code1, c1.period)
     n2 = probe_length(code2, c2.period)
-    a1 = cwef_w2_punctured(code1, c1.p_u, c1.p_z, n1)
-    a2 = cwef_w2_punctured(code2, c2.p_u, c2.p_z, n2)
-    d1, z1 = min_weights(a1)
-    _, z2 = min_weights(a2)
+    m1 = min_weights(cwef_w2_punctured(code1, c1.p_u, c1.p_z, n1))
+    m2 = min_weights(cwef_w2_punctured(code2, c2.p_u, c2.p_z, n2))
+    d1, z1 = m1
+    z2 = m2[1]
     entries = {
         "gr1": code1.feedback.to_octal(), "gf1": code1.feedforward.to_octal(),
         "gr2": code2.feedback.to_octal(), "gf2": code2.feedforward.to_octal(),
@@ -261,16 +266,17 @@ def cmd_patterns(args) -> int:
         f"constituent 2 ({code2.label()}): {classify(code2, c2.p_u, c2.p_z)}",
         f"  core_weights = {punctured_core_weights(code2, c2.p_z)}",
         f"  z_min = {z2}",
-        f"d_free_eff = {d_free_eff(a1, a2)}",
+        f"d_free_eff = {d_free_eff(m1, m2)}",
     ]
     text = "\n".join(_metadata("patterns", entries) + body) + "\n"
     _write_text(args.out, text)
     return 0
 
 
-def _cwef_batch(tasks):
-    """Weight-2 enumerators of a chunk of (code, p_u, p_z, n) tasks."""
-    return [cwef_w2_punctured(*task) for task in tasks]
+def _minima_batch(tasks):
+    """min_weights of the weight-2 enumerator of each (code, p_u, p_z, n)
+    task in a chunk; the enumerators themselves are dropped."""
+    return [min_weights(cwef_w2_punctured(*task)) for task in tasks]
 
 
 def _search_p2(payload):
@@ -353,20 +359,20 @@ def cmd_search(args) -> int:
     tasks = list(dict.fromkeys(
         [(code1, *pair, n1) for pairs, _ in classes for pair in pairs]
         + [(code2, zeros, par2, n2) for _, rows in classes for par2 in rows]))
-    built = dict(zip(tasks, (
-        a for block in _pool_map(_cwef_batch, _chunked(tasks, args.jobs), args.jobs)
-        for a in block)))
+    minima = dict(zip(tasks, (
+        mw for block in _pool_map(_minima_batch, _chunked(tasks, args.jobs), args.jobs)
+        for mw in block)))
 
     def triples():
-        """Every candidate with its two screening enumerators."""
+        """Every candidate with its two constituents' minima."""
         for pairs, rows in classes:
-            a2s = [(par2, built[(code2, zeros, par2, n2)]) for par2 in rows]
+            m2s = [(par2, minima[(code2, zeros, par2, n2)]) for par2 in rows]
             for pair in pairs:
-                a1 = built[(code1, *pair, n1)]
-                for par2, a2 in a2s:
-                    yield (*pair, par2), a1, a2
+                m1 = minima[(code1, *pair, n1)]
+                for par2, m2 in m2s:
+                    yield (*pair, par2), m1, m2
 
-    dfree = [d_free_eff(a1, a2) for _, a1, a2 in triples()]
+    dfree = [d_free_eff(m1, m2) for _, m1, m2 in triples()]
     feasible = sum(d > 0 for d in dfree)
     if not feasible:
         print(f"no non-catastrophic pattern of period {m} at rate {rate}",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from math import lcm
 
 from .puncture import as_row, extend_row, punctured_core_weights
@@ -22,7 +21,7 @@ from .rsc import RscCode, core_weight, weight2_parity_response
 class Cwef:
     """Sparse enumerator {(systematic weight, parity weight): count} for
     one input weight w and block length n.  Counts are exact ints;
-    absent keys mean zero.  The terms are read-only once built."""
+    absent keys mean zero."""
 
     w: int
     n: int
@@ -36,18 +35,14 @@ class Cwef:
         lines += [f"{u} {z} {c}" for (u, z), c in sorted(self.terms.items())]
         return "\n".join(lines) + "\n"
 
-    @cached_property
-    def _minima(self) -> tuple[int, int]:
-        if not self.terms:
-            raise ValueError("empty enumerator has no minimum weights")
-        return (min(u + z for u, z in self.terms),
-                min(z for _, z in self.terms))
-
 
 def min_weights(c: Cwef) -> tuple[int, int]:
-    """(minimum u+z, minimum z) over the stored terms, found once per
-    enumerator: a search asks for them once per candidate triple."""
-    return c._minima
+    """(minimum u+z, minimum z) over the stored terms.  At probe_length
+    these are the constituent's minima over every weight-2 path, the one
+    source that classify, patterns and search read."""
+    if not c.terms:
+        raise ValueError("empty enumerator has no minimum weights")
+    return (min(u + z for u, z in c.terms), min(z for _, z in c.terms))
 
 
 def group_multiplicity(n: int, k: int, l_period: int, m_period: int, m: int) -> int:

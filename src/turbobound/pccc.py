@@ -278,13 +278,13 @@ def truncated_union_bound(config: PcccConfig, w_max: int = DEFAULT_W_MAX,
     return TruncatedBound(curve, truncated, per_weight)
 
 
-def d_free_eff(a1: Cwef, a2: Cwef) -> int:
-    """Weight-2 effective free distance from the constituent enumerators:
-    the smallest u + z of constituent 1 plus the smallest z of
-    constituent 2, whose systematic bits are never sent.  Returns 0 when
-    either minimum is 0, the catastrophic-puncturing case."""
-    d1, _ = min_weights(a1)
-    _, z2 = min_weights(a2)
+def d_free_eff(m1: tuple[int, int], m2: tuple[int, int]) -> int:
+    """Weight-2 effective free distance from the two constituents'
+    min_weights pairs: the smallest u + z of constituent 1 plus the
+    smallest z of constituent 2, whose systematic bits are never sent.
+    Returns 0 when either minimum is 0, the catastrophic-puncturing
+    case."""
+    d1, z2 = m1[0], m2[1]
     return 0 if d1 == 0 or z2 == 0 else d1 + z2
 
 
@@ -294,7 +294,7 @@ def free_effective_distance(config: PcccConfig) -> int:
     Returns 0 (with a warning) when either constituent admits a
     zero-weight event, the catastrophic-puncturing case.
     """
-    dfree = d_free_eff(*constituent_cwefs_w2(config))
+    dfree = d_free_eff(*map(min_weights, constituent_cwefs_w2(config)))
     if dfree == 0:
         warnings.warn("catastrophic puncturing: weight-2 event with zero "
                       "transmitted weight", stacklevel=2)

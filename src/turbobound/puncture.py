@@ -175,36 +175,28 @@ class Classification(enum.Enum):
 
 
 def probe_length(code: RscCode, pattern_span: int) -> int:
-    """Block length long enough to witness every distinct weight-2
-    column/span combination at least once."""
+    """Block length at which a weight-2 enumerator holds the smallest
+    weights of the pattern: every span k*L + 1 with k up to one column
+    cycle, lcm(L, M) / L, fits at every one of the M start columns.  A
+    longer span ends in the same column as one cycle shorter, with
+    non-negative weight added, so it never lowers a minimum."""
     cycle = lcm(code.period, pattern_span) // code.period
-    return max(4 * code.period + 1, (cycle + 1) * code.period + 1)
+    return max(4 * code.period + 1,
+               cycle * code.period + max(code.period + 1, pattern_span))
 
 
-def classify(code: RscCode, p_u, p_z, n_probe: int | None = None) -> Classification:
+def classify(code: RscCode, p_u, p_z) -> Classification:
     """Screen a constituent pattern for catastrophic behaviour.
 
-    Catastrophic: some weight-2 path transmits zero total weight.
-    Semi-catastrophic: some shift m leaves z_core^m = 0.  The probe
-    horizon defaults to one full column cycle of weight-2 spans, which
-    is enough to witness the minimum; longer spans only repeat columns
-    with non-negative weight added.
+    Catastrophic: some weight-2 path transmits zero total weight, read
+    off the enumerator at probe_length.  Semi-catastrophic: some shift
+    m leaves z_core^m = 0.
     """
-    from .cwef import path_weights
+    from .cwef import cwef_w2_punctured, min_weights
 
     p_u, p_z = as_row(p_u), as_row(p_z)
-    span = lcm(len(p_u), len(p_z))
-    if n_probe is None:
-        n_probe = probe_length(code, span)
-    elif n_probe < 2 * code.period + 1:
-        raise ValueError("n_probe must cover at least two feedback periods")
-    k_max = (n_probe - 1) // code.period
-    transmitted = min(
-        sum(path_weights(code, p_u, p_z, k, m))
-        for k in range(1, k_max + 1)
-        for m in range(1, span + 1)
-    )
-    if transmitted == 0:
+    n_probe = probe_length(code, lcm(len(p_u), len(p_z)))
+    if min_weights(cwef_w2_punctured(code, p_u, p_z, n_probe))[0] == 0:
         return Classification.CATASTROPHIC
     if min(punctured_core_weights(code, p_z)) == 0:
         return Classification.SEMI_CATASTROPHIC

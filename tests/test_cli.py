@@ -1,6 +1,7 @@
 """Command-line interface: parsing, exit codes, reports, reproducibility."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -8,11 +9,12 @@ import pytest
 import turbobound.cli as cli
 import turbobound.pccc as pccc
 from turbobound.cli import argv_from_metadata, entrypoint
-from turbobound.cwef import cwef_w2_punctured
+from turbobound.cwef import cwef_w2_punctured, min_weights
 from turbobound.oracle import GRID_CODES, CaseResult, GridCase, VerificationReport
 from turbobound.pccc import (PcccConfig, d_free_eff, free_effective_distance,
                              p2_approximation)
-from turbobound.puncture import (PcccPunctureSet, probe_length, row_from_string,
+from turbobound.puncture import (Classification, PcccPunctureSet, classify,
+                                 probe_length, row_from_string,
                                  row_to_string)
 from turbobound.rsc import RscCode
 
@@ -272,6 +274,28 @@ def test_patterns_unpunctured_default(capsys):
     assert "d_free_eff = 14" in out
 
 
+def test_patterns_catastrophic_period_beyond_cycle(capsys):
+    # M = 5 > L + 1 = 3: the span k = 5 closes the column cycle, and it
+    # only fits at every start column from n = 15 on
+    code, out, _ = run(capsys, "patterns", "--gr1", "5", "--gf1", "7",
+                       "--sys", "11101", "--par1", "00000", "--par2", "11111")
+    assert code == 0
+    assert "constituent 1 (5/7): Catastrophic" in out
+    assert "  d_min = 0, z_min = 0\n" in out
+    assert "\nd_free_eff = 0\n" in out
+    assert "# n_probe = 15" in out
+
+
+def test_out_into_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "patterns", "--gr1", "15", "--gf1", "17",
+                         "--pseudo", "A", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert f"--out {target}" in err and ".tb-" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_patterns_round_trip(tmp_path, capsys):
     target = tmp_path / "report.txt"
     assert run(capsys, "patterns", "--gr1", "7", "--gf1", "5",
@@ -391,7 +415,7 @@ def naive_ranking(gr, gf, rate, m, n, db, top):
         rows = (bits[:m], bits[m:2 * m], bits[2 * m:])
         a1 = cwef_w2_punctured(code, rows[0], rows[1], probe)
         a2 = cwef_w2_punctured(code, (0,) * m, rows[2], probe)
-        d = d_free_eff(a1, a2)
+        d = d_free_eff(min_weights(a1), min_weights(a2))
         if d > 0:
             config = PcccConfig(code, code, PcccPunctureSet(*rows), n)
             p2 = p2_approximation(config, (db,)).points[0].raw
@@ -439,6 +463,29 @@ def test_search_builds_each_row_once(monkeypatch, capsys):
     assert len(probe) <= 2**8 + 2**4
     assert len(set(probe)) == len(probe)
     assert len(set(at_n)) == len(at_n)
+
+
+def test_search_ranks_no_catastrophic_pattern(tmp_path, capsys):
+    # at M = 6 > L + 1 = 3 a probe of (cycle + 1) L + 1 steps missed start
+    # columns and let 40 catastrophic triples into the ranking
+    target = tmp_path / "rank.csv"
+    assert run(capsys, "search", "--gr1", "5", "--gf1", "7", "--rate", "1/2",
+               "--period", "6", "--n", "200", "--top", "20000",
+               "--out", str(target))[0] == 0
+    lines = target.read_text().splitlines()
+    assert "# feasible = 16019" in lines
+    header = lines.index("rank,sys,par1,par2,d_free_eff,p2")
+    rows = [line.split(",")[1:4] for line in lines[header + 1:]]
+    assert len(rows) == 16019
+    code = RscCode.from_octals("5", "7")
+
+    @cache
+    def catastrophic(p_u, p_z):
+        return classify(code, row_from_string(p_u), row_from_string(p_z)) \
+            is Classification.CATASTROPHIC
+
+    assert not any(catastrophic(sys_row, par1) or catastrophic("000000", par2)
+                   for sys_row, par1, par2 in rows)
 
 
 def test_search_infeasible_rate(capsys):

@@ -10,14 +10,15 @@ pass over the same trellis, truncation flag and path total included.
 
 from functools import reduce
 from itertools import combinations
+from math import lcm
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from turbobound.cwef import cwef_w2_punctured
+from turbobound.cwef import cwef_w2_punctured, min_weights, path_weights
 from turbobound.gf2 import BinaryPolynomial
 from turbobound.oracle import brute_force_cwef, exact_cwef_dp
-from turbobound.puncture import Classification, classify
+from turbobound.puncture import Classification, classify, probe_length
 from turbobound.rsc import RscCode, encode, step
 
 
@@ -63,6 +64,33 @@ def test_dp_and_brute_force_agree_w3(case, n):
     code, p_u, p_z = case
     assert brute_force_cwef(code, p_u, p_z, n, 3).terms \
         == exact_cwef_dp(code, p_u, p_z, n, w_max=3).for_weight(3).terms
+
+
+@st.composite
+def row_pairs(draw, max_period=12):
+    """Two rows whose common period, the lcm of their lengths, is at
+    most max_period."""
+    m = draw(st.integers(1, max_period))
+    lengths = st.sampled_from([d for d in range(1, m + 1) if m % d == 0])
+    row = lengths.flatmap(lambda a: st.tuples(*[st.integers(0, 1)] * a))
+    return draw(row), draw(row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(codes(), row_pairs())
+# 5/7 (L = 2) at M = 5: the zero-weight span k = 5 starts in column 5
+@example(RscCode.from_octals("5", "7"), ((1, 1, 1, 0, 1), (0, 0, 0, 0, 0)))
+def test_probe_length_minima_match_every_path(code, pair):
+    # the enumerator at probe_length sees the smallest weights of every
+    # span up to one column cycle at every start column
+    p_u, p_z = pair
+    m_period = lcm(len(p_u), len(p_z))
+    cycle = lcm(code.period, m_period) // code.period
+    weights = [path_weights(code, p_u, p_z, k, m)
+               for k in range(1, cycle + 1) for m in range(1, m_period + 1)]
+    probe = cwef_w2_punctured(code, p_u, p_z, probe_length(code, m_period))
+    assert min_weights(probe) == (min(u + z for u, z in weights),
+                                  min(z for _, z in weights))
 
 
 def encoded_tally(code, p_u, p_z, n, w):

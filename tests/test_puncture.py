@@ -135,6 +135,8 @@ def test_probe_length():
     # longer column cycles extend the horizon
     assert probe_length(CODE_15_17, 8) == 64
     assert probe_length(CODE_7_5, 4) == 16
+    # M > L + 1: the longest span of the cycle must fit at all M columns
+    assert probe_length(RscCode.from_octals("5", "7"), 5) == 15
 
 
 def test_classify_normal():
@@ -161,9 +163,3 @@ def test_classify_catastrophic():
     assert classify(CODE_15_17, (0,), pz) is Classification.CATASTROPHIC
     # transmitting the systematic stream rescues it
     assert classify(CODE_15_17, (1,), pz) is Classification.SEMI_CATASTROPHIC
-
-
-def test_classify_probe_override():
-    with pytest.raises(ValueError, match="two feedback periods"):
-        classify(CODE_15_17, (1,), (1,), n_probe=14)
-    assert classify(CODE_15_17, (1,), (1,), n_probe=15) is Classification.NORMAL
