@@ -16,7 +16,7 @@ from .puncture import (Classification, PcccPunctureSet, PuncturingPattern,
                        extend_row, probe_length, pseudo_random_pattern,
                        punctured_core_weights, row_from_string, row_to_string)
 from .cwef import (Cwef, cwef_w2_punctured, cwef_w2_unpunctured,
-                   group_multiplicity, min_weights, path_weights)
+                   group_multiplicity, min_weights, path_weights, weight2_minima)
 from .oracle import (DpResult, GridCase, VerificationReport, brute_force_cwef,
                      default_verification_grid, diff_cwefs, exact_cwef_dp,
                      run_case, run_verification)
@@ -35,7 +35,7 @@ __all__ = [
     "probe_length", "pseudo_random_pattern", "punctured_core_weights",
     "row_from_string", "row_to_string",
     "Cwef", "cwef_w2_punctured", "cwef_w2_unpunctured", "group_multiplicity",
-    "min_weights", "path_weights",
+    "min_weights", "path_weights", "weight2_minima",
     "DpResult", "GridCase", "VerificationReport", "brute_force_cwef",
     "default_verification_grid", "diff_cwefs", "exact_cwef_dp", "run_case",
     "run_verification",

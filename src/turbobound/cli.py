@@ -16,21 +16,22 @@ import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import cache
 from heapq import nlargest
 from itertools import combinations
 from math import comb
 
 from . import __version__
-from .cwef import cwef_w2_punctured, min_weights
+from .cwef import cwef_w2_punctured, weight2_minima
 from .oracle import run_verification
 from .pccc import (DEFAULT_D_MAX, DEFAULT_W_MAX, PcccConfig, d_free_eff,
                    distance_spectrum, free_effective_distance,
                    p2_approximation, truncated_union_bound, union_bound_term)
 # not called here; the benchmark harness self-test traces cli.p2_slice
 from .pccc import p2_slice  # noqa: F401
-from .puncture import (PcccPunctureSet, classify, code_rate, probe_length,
-                       pseudo_random_pattern, punctured_core_weights,
-                       row_from_string, row_to_string)
+from .puncture import (PcccPunctureSet, classification, code_rate,
+                       probe_length, pseudo_random_pattern,
+                       punctured_core_weights, row_from_string, row_to_string)
 from .rsc import RscCode
 
 MAX_BLOCK = 10**6
@@ -138,8 +139,11 @@ def _check_block(n: int, code1: RscCode, code2: RscCode) -> None:
         raise ValueError(f"--n must lie in [{floor}, {MAX_BLOCK}]")
 
 
-def _metadata(subcommand: str, entries: dict) -> list[str]:
+def _metadata(subcommand: str, codes, entries: dict) -> list[str]:
     lines = [f"# turbobound {__version__}", f"# subcommand = {subcommand}"]
+    for i, code in enumerate(codes, 1):
+        lines += [f"# gr{i} = {code.feedback.to_octal()}",
+                  f"# gf{i} = {code.feedforward.to_octal()}"]
     lines.extend(f"# {key} = {value}" for key, value in entries.items())
     return lines
 
@@ -187,8 +191,17 @@ def _write_text(path: str | None, text: str) -> None:
         raise ValueError(f"cannot write --out {path}: {exc.strerror or exc}") from None
 
 
+def _check_out(path: str) -> None:
+    """Refuse, before any work, an --out in a missing directory or one
+    that is itself a directory, with the error _write_text gives it."""
+    target = os.path.abspath(path)
+    if not os.path.isdir(os.path.dirname(target)) or (
+            os.path.isdir(target) and not os.path.islink(target)):
+        _write_text(path, "")  # raises, and leaves no file behind
+
+
 def cmd_bound(args) -> int:
-    code1, code2 = _codes(args)
+    codes = code1, code2 = _codes(args)
     pset = _resolve_rows(args, code1)
     _check_block(args.n, code1, code2)
     if not 2 <= args.wmax <= 6:
@@ -198,11 +211,12 @@ def cmd_bound(args) -> int:
     grid = _parse_snr(args.snr)
     config = PcccConfig(code1, code2, pset, args.n)
     dfree = free_effective_distance(config)
+    # the DP refuses what it cannot count before any P(2) work is done
+    if args.wmax > 2:
+        tb = truncated_union_bound(config, args.wmax, args.dmax, grid)
     p2_curve = p2_approximation(config, grid)
 
     entries = {
-        "gr1": code1.feedback.to_octal(), "gf1": code1.feedforward.to_octal(),
-        "gr2": code2.feedback.to_octal(), "gf2": code2.feedforward.to_octal(),
         "sys": row_to_string(pset.sys), "par1": row_to_string(pset.par1),
         "par2": row_to_string(pset.par2), "n": args.n,
         "snr": _snr_text(grid), "wmax": args.wmax, "dmax": args.dmax,
@@ -210,7 +224,6 @@ def cmd_bound(args) -> int:
     }
     rows = []
     if args.wmax > 2:
-        tb = truncated_union_bound(config, args.wmax, args.dmax, grid)
         entries["terms_dropped"] = int(tb.truncated)
         header = "ebn0_db,p2,truncated_bound,ratio,p2_clamped,bound_clamped"
         for p2p, tbp in zip(p2_curve.points, tb.curve.points):
@@ -226,28 +239,25 @@ def cmd_bound(args) -> int:
             rows.append(",".join((
                 f"{p2p.ebn0_db:g}", _PROB.format(p2p.value),
                 str(int(p2p.clamped)))))
-    text = "\n".join(_metadata("bound", entries) + [header] + rows) + "\n"
+    text = "\n".join(_metadata("bound", codes, entries) + [header] + rows) + "\n"
     _write_text(args.out, text)
     return 0
 
 
 def cmd_patterns(args) -> int:
-    code1, code2 = _codes(args)
+    codes = code1, code2 = _codes(args)
     pset = _resolve_rows(args, code1)
     c1 = pset.constituent1()
     c2 = pset.constituent2()
-    n1 = probe_length(code1, c1.period)
-    n2 = probe_length(code2, c2.period)
-    m1 = min_weights(cwef_w2_punctured(code1, c1.p_u, c1.p_z, n1))
-    m2 = min_weights(cwef_w2_punctured(code2, c2.p_u, c2.p_z, n2))
-    d1, z1 = m1
-    z2 = m2[1]
+    m1 = weight2_minima(code1, c1.p_u, c1.p_z)
+    m2 = weight2_minima(code2, c2.p_u, c2.p_z)
+    core1 = punctured_core_weights(code1, c1.p_z)
+    core2 = punctured_core_weights(code2, c2.p_z)
     entries = {
-        "gr1": code1.feedback.to_octal(), "gf1": code1.feedforward.to_octal(),
-        "gr2": code2.feedback.to_octal(), "gf2": code2.feedforward.to_octal(),
         "sys": row_to_string(pset.sys), "par1": row_to_string(pset.par1),
         "par2": row_to_string(pset.par2),
-        "n_probe": max(n1, n2),
+        "n_probe": max(probe_length(code1, c1.period),
+                       probe_length(code2, c2.period)),
     }
     try:
         rate = str(code_rate(pset))
@@ -260,36 +270,29 @@ def cmd_patterns(args) -> int:
         f"par2 = [{row_to_string(pset.par2)}]",
         f"period = {pset.period}",
         f"rate = {rate}",
-        f"constituent 1 ({code1.label()}): {classify(code1, c1.p_u, c1.p_z)}",
-        f"  core_weights = {punctured_core_weights(code1, c1.p_z)}",
-        f"  d_min = {d1}, z_min = {z1}",
-        f"constituent 2 ({code2.label()}): {classify(code2, c2.p_u, c2.p_z)}",
-        f"  core_weights = {punctured_core_weights(code2, c2.p_z)}",
-        f"  z_min = {z2}",
+        f"constituent 1 ({code1.label()}): {classification(m1[0], core1)}",
+        f"  core_weights = {core1}",
+        f"  d_min = {m1[0]}, z_min = {m1[1]}",
+        f"constituent 2 ({code2.label()}): {classification(m2[0], core2)}",
+        f"  core_weights = {core2}",
+        f"  z_min = {m2[1]}",
         f"d_free_eff = {d_free_eff(m1, m2)}",
     ]
-    text = "\n".join(_metadata("patterns", entries) + body) + "\n"
+    text = "\n".join(_metadata("patterns", codes, entries) + body) + "\n"
     _write_text(args.out, text)
     return 0
 
 
 def _minima_batch(tasks):
-    """min_weights of the weight-2 enumerator of each (code, p_u, p_z, n)
-    task in a chunk; the enumerators themselves are dropped."""
-    return [min_weights(cwef_w2_punctured(*task)) for task in tasks]
+    """weight2_minima of each (code, p_u, p_z) task in a chunk."""
+    return [weight2_minima(*task) for task in tasks]
 
 
 def _search_p2(payload):
     """P(2) of each contender in a chunk, from the spectrum and union sum
     that `bound` uses; each distinct constituent row is built once."""
     code1, code2, chunk, n, rate, db = payload
-    built = {}
-
-    def cwef(*key):
-        if key not in built:
-            built[key] = cwef_w2_punctured(*key)
-        return built[key]
-
+    cwef = cache(cwef_w2_punctured)  # held for this chunk only
     out = []
     for sys_row, par1_row, par2_row in chunk:
         a1 = cwef(code1, sys_row, par1_row, n)
@@ -323,7 +326,7 @@ def _pool_map(fn, payloads, jobs):
 
 
 def cmd_search(args) -> int:
-    code1, code2 = _codes(args)
+    codes = code1, code2 = _codes(args)
     rate = _parse_rate(args.rate)
     m = args.period
     if not 1 <= m <= 12:
@@ -354,11 +357,9 @@ def cmd_search(args) -> int:
     # behind the uniform interleaver d_free_eff splits into a constituent-1
     # part and a par2 part, so each distinct row is screened once
     zeros = (0,) * m
-    n1 = probe_length(code1, m)
-    n2 = probe_length(code2, m)
     tasks = list(dict.fromkeys(
-        [(code1, *pair, n1) for pairs, _ in classes for pair in pairs]
-        + [(code2, zeros, par2, n2) for _, rows in classes for par2 in rows]))
+        [(code1, *pair) for pairs, _ in classes for pair in pairs]
+        + [(code2, zeros, par2) for _, rows in classes for par2 in rows]))
     minima = dict(zip(tasks, (
         mw for block in _pool_map(_minima_batch, _chunked(tasks, args.jobs), args.jobs)
         for mw in block)))
@@ -366,9 +367,9 @@ def cmd_search(args) -> int:
     def triples():
         """Every candidate with its two constituents' minima."""
         for pairs, rows in classes:
-            m2s = [(par2, minima[(code2, zeros, par2, n2)]) for par2 in rows]
+            m2s = [(par2, minima[(code2, zeros, par2)]) for par2 in rows]
             for pair in pairs:
-                m1 = minima[(code1, *pair, n1)]
+                m1 = minima[(code1, *pair)]
                 for par2, m2 in m2s:
                     yield (*pair, par2), m1, m2
 
@@ -393,8 +394,6 @@ def cmd_search(args) -> int:
                           tuple(row_to_string(r) for r in item[2])))
 
     entries = {
-        "gr1": code1.feedback.to_octal(), "gf1": code1.feedforward.to_octal(),
-        "gr2": code2.feedback.to_octal(), "gf2": code2.feedforward.to_octal(),
         "rate": rate, "period": m, "n": args.n, "snr": _snr_text(grid),
         "top": args.top, "candidates": count, "feasible": feasible,
     }
@@ -405,7 +404,7 @@ def cmd_search(args) -> int:
         for i, (d, p2, (sys_row, par1_row, par2_row))
         in enumerate(ranked[:args.top])
     ]
-    text = "\n".join(_metadata("search", entries) + [header] + rows_out) + "\n"
+    text = "\n".join(_metadata("search", codes, entries) + [header] + rows_out) + "\n"
     _write_text(args.out, text)
     return 0
 
@@ -524,6 +523,8 @@ def entrypoint(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
     except ValueError as exc:
         print(f"turbobound: error: {exc}", file=sys.stderr)

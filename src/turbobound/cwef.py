@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from math import lcm
 
-from .puncture import as_row, extend_row, punctured_core_weights
+from .puncture import as_row, extend_row, probe_length, punctured_core_weights
 from .rsc import RscCode, core_weight, weight2_parity_response
 
 
@@ -37,9 +37,7 @@ class Cwef:
 
 
 def min_weights(c: Cwef) -> tuple[int, int]:
-    """(minimum u+z, minimum z) over the stored terms.  At probe_length
-    these are the constituent's minima over every weight-2 path, the one
-    source that classify, patterns and search read."""
+    """(minimum u+z, minimum z) over the stored terms."""
     if not c.terms:
         raise ValueError("empty enumerator has no minimum weights")
     return (min(u + z for u, z in c.terms), min(z for _, z in c.terms))
@@ -132,3 +130,12 @@ def cwef_w2_punctured(code: RscCode, p_u, p_z, n: int) -> Cwef:
             z = diverge * pz[m0] + core_acc[m0] + y_last * wrap_acc[m0] + pz[end]
             terms[(u, z)] = terms.get((u, z), 0) + count
     return Cwef(2, n, terms)
+
+
+def weight2_minima(code: RscCode, p_u, p_z, n: int | None = None) -> tuple[int, int]:
+    """min_weights over the weight-2 paths of an n-step block, or of any
+    block when n is None, from the enumerator at probe_length or at a
+    shorter n: the one source of the minima every command reads."""
+    p_u, p_z = as_row(p_u), as_row(p_z)
+    probe = probe_length(code, lcm(len(p_u), len(p_z)))
+    return min_weights(cwef_w2_punctured(code, p_u, p_z, min(probe, n or probe)))

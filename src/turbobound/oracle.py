@@ -16,8 +16,6 @@ from itertools import combinations, product
 from math import comb
 from operator import xor
 
-import numpy as np
-
 from .cwef import Cwef, cwef_w2_punctured, path_weights
 from .gf2 import is_primitive
 from .puncture import (Classification, as_row, classify, pseudo_random_pattern,
@@ -54,6 +52,7 @@ def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
     dropped and the result is flagged truncated; counts for u + z <= d_max
     stay exact because transmitted weight never decreases along a path.
     """
+    import numpy as np  # here, so that only the commands that run the DP load it
     p_u, p_z = as_row(p_u), as_row(p_z)
     if n < 1:
         raise ValueError("block length must be positive")

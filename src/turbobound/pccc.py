@@ -14,10 +14,9 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
-from .cwef import Cwef, cwef_w2_punctured, min_weights
+from .cwef import Cwef, cwef_w2_punctured, weight2_minima
 from .oracle import exact_cwef_dp
 from .puncture import PcccPunctureSet, code_rate
 from .rsc import RscCode
@@ -46,6 +45,11 @@ class PcccConfig:
         if not 0 < r < 1:
             raise ValueError(f"code rate {r} outside (0, 1)")
         object.__setattr__(self, "rate", r)
+
+    def constituents(self):
+        """(code, p_u, p_z) of each of the two constituent encoders."""
+        c1, c2 = self.punctures.constituent1(), self.punctures.constituent2()
+        return (self.code1, c1.p_u, c1.p_z), (self.code2, c2.p_u, c2.p_z)
 
 
 @dataclass(frozen=True)
@@ -201,18 +205,9 @@ def union_bound_term(b: IowefSlice, n: int, rate, ebn0_db: float) -> float:
     return math.fsum(summands)
 
 
-# one entry: `bound` asks for d_free_eff and then for P(2) of one config
-@lru_cache(maxsize=1)
-def constituent_cwefs_w2(config: PcccConfig) -> tuple[Cwef, Cwef]:
-    c1 = config.punctures.constituent1()
-    c2 = config.punctures.constituent2()
-    return (cwef_w2_punctured(config.code1, c1.p_u, c1.p_z, config.n),
-            cwef_w2_punctured(config.code2, c2.p_u, c2.p_z, config.n))
-
-
 def p2_slice(config: PcccConfig) -> IowefSlice:
     """Distance spectrum of the dominant weight-2 term, closed forms only."""
-    a1, a2 = constituent_cwefs_w2(config)
+    a1, a2 = (cwef_w2_punctured(*c, config.n) for c in config.constituents())
     return distance_spectrum(a1, a2, config.n, 2)
 
 
@@ -254,10 +249,8 @@ def truncated_union_bound(config: PcccConfig, w_max: int = DEFAULT_W_MAX,
         raise ValueError("w_max must be at least 2")
     if d_max < 1:
         raise ValueError("d_max must be positive")
-    c1 = config.punctures.constituent1()
-    c2 = config.punctures.constituent2()
-    r1 = exact_cwef_dp(config.code1, c1.p_u, c1.p_z, config.n, w_max, d_max)
-    r2 = exact_cwef_dp(config.code2, c2.p_u, c2.p_z, config.n, w_max, d_max)
+    r1, r2 = (exact_cwef_dp(*c, config.n, w_max, d_max)
+              for c in config.constituents())
     truncated = r1.truncated or r2.truncated
     per_weight: dict[int, tuple[float, ...]] = {}
     for w in range(2, w_max + 1):
@@ -294,7 +287,7 @@ def free_effective_distance(config: PcccConfig) -> int:
     Returns 0 (with a warning) when either constituent admits a
     zero-weight event, the catastrophic-puncturing case.
     """
-    dfree = d_free_eff(*map(min_weights, constituent_cwefs_w2(config)))
+    dfree = d_free_eff(*(weight2_minima(*c, config.n) for c in config.constituents()))
     if dfree == 0:
         warnings.warn("catastrophic puncturing: weight-2 event with zero "
                       "transmitted weight", stacklevel=2)

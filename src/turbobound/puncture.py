@@ -185,19 +185,19 @@ def probe_length(code: RscCode, pattern_span: int) -> int:
                cycle * code.period + max(code.period + 1, pattern_span))
 
 
-def classify(code: RscCode, p_u, p_z) -> Classification:
-    """Screen a constituent pattern for catastrophic behaviour.
-
-    Catastrophic: some weight-2 path transmits zero total weight, read
-    off the enumerator at probe_length.  Semi-catastrophic: some shift
-    m leaves z_core^m = 0.
-    """
-    from .cwef import cwef_w2_punctured, min_weights
-
-    p_u, p_z = as_row(p_u), as_row(p_z)
-    n_probe = probe_length(code, lcm(len(p_u), len(p_z)))
-    if min_weights(cwef_w2_punctured(code, p_u, p_z, n_probe))[0] == 0:
+def classification(d_min: int, core_weights) -> Classification:
+    """Catastrophic: some weight-2 path transmits zero total weight
+    (d_min = 0).  Semi-catastrophic: some shift m leaves z_core^m = 0."""
+    if d_min == 0:
         return Classification.CATASTROPHIC
-    if min(punctured_core_weights(code, p_z)) == 0:
+    if min(core_weights) == 0:
         return Classification.SEMI_CATASTROPHIC
     return Classification.NORMAL
+
+
+def classify(code: RscCode, p_u, p_z) -> Classification:
+    """Screen a constituent pattern for catastrophic behaviour."""
+    from .cwef import weight2_minima
+
+    return classification(weight2_minima(code, p_u, p_z)[0],
+                          punctured_core_weights(code, p_z))

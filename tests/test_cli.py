@@ -4,10 +4,17 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import turbobound.cli as cli
+import turbobound.cwef as cwef
+import turbobound.oracle as oracle
 import turbobound.pccc as pccc
+import turbobound.puncture as puncture
 from turbobound.cli import argv_from_metadata, entrypoint
 from turbobound.cwef import cwef_w2_punctured, min_weights
 from turbobound.oracle import GRID_CODES, CaseResult, GridCase, VerificationReport
@@ -124,22 +131,46 @@ def test_bound_jobs_is_inert(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_bound_computes_constituent_cwefs_once(monkeypatch, capsys):
-    # d_free_eff and P(2) share one closed-form pair per run
+def count_cwef_builds(monkeypatch, *modules):
+    """Record the arguments of every cwef_w2_punctured call made through
+    the given modules' bindings."""
     calls = []
-    real = pccc.cwef_w2_punctured
+    real = cwef_w2_punctured
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(pccc, "cwef_w2_punctured", counted)
-    # no other test runs this config, so the one-entry cache cannot hold it
-    code, out, _ = run(capsys, "bound", "--gr1", "23", "--gf1", "35",
-                       "--pseudo", "A", "--n", "1234", "--snr", "2:4:1",
-                       "--wmax", "2")
-    assert code == 0 and "# d_free_eff = " in out
-    assert len(calls) == 2
+    for module in modules:
+        monkeypatch.setattr(module, "cwef_w2_punctured", counted)
+    return calls
+
+
+def test_bound_computes_constituent_cwefs_once(monkeypatch, capsys):
+    # d_free_eff reads the two probe-length minima, P(2) builds the pair
+    # at n once, and no cache carries either over to the next command
+    calls = count_cwef_builds(monkeypatch, cwef, pccc)
+    for _ in range(2):
+        calls.clear()
+        code, out, _ = run(capsys, "bound", "--gr1", "23", "--gf1", "35",
+                           "--pseudo", "A", "--n", "1234", "--snr", "2:4:1",
+                           "--wmax", "2")
+        assert code == 0 and "# d_free_eff = 16" in out
+        assert sorted(args[3] for args in calls) == [61, 61, 1234, 1234]
+
+
+def test_bound_refuses_before_building_at_n(monkeypatch, capsys):
+    # the trellis DP's 64-bit guard fires before any P(2) enumerator
+    def built_at_n(*_):
+        raise AssertionError("enumerator built at n before the refusal")
+
+    calls = count_cwef_builds(monkeypatch, cwef)
+    monkeypatch.setattr(pccc, "cwef_w2_punctured", built_at_n)
+    code, out, err = run(capsys, "bound", "--gr1", "23", "--gf1", "35",
+                         "--pseudo", "A", "--n", "1000000", "--wmax", "4")
+    assert code == 2 and out == ""
+    assert "path counts would overflow 64-bit accumulation" in err
+    assert [args[3] for args in calls] == [61, 61]
 
 
 @pytest.mark.parametrize("snr", ["0:inf:1", "nan", "1e400", "0:5:0.0005",
@@ -296,6 +327,40 @@ def test_out_into_missing_directory(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "--gr1", "15", "--gf1", "17", "--rate", "1/2", "--period", "4"),
+    ("verify",),
+])
+@pytest.mark.parametrize("where,reason", [
+    ("missing/x", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_out_refused_before_the_work(monkeypatch, tmp_path, capsys, argv,
+                                     where, reason):
+    def no_work(*_):
+        raise AssertionError("work started before --out was checked")
+
+    for module in (cli, cwef):
+        monkeypatch.setattr(module, "cwef_w2_punctured", no_work)
+    monkeypatch.setattr(oracle, "run_case", no_work)
+    target = tmp_path / where
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == ""
+    assert err == f"turbobound: error: cannot write --out {target}: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_backstop_message_matches(tmp_path):
+    # the early check and the write itself name a bad path the same way
+    for target in (tmp_path / "missing" / "x", tmp_path):
+        with pytest.raises(ValueError) as early:
+            cli._check_out(str(target))
+        with pytest.raises(ValueError) as late:
+            cli._write_text(str(target), "text")
+        assert str(early.value) == str(late.value)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_patterns_round_trip(tmp_path, capsys):
     target = tmp_path / "report.txt"
     assert run(capsys, "patterns", "--gr1", "7", "--gf1", "5",
@@ -445,24 +510,55 @@ def test_search_matches_naive_ranking(tmp_path, capsys, gr, gf):
 def test_search_builds_each_row_once(monkeypatch, capsys):
     # screening builds one probe-length enumerator per distinct
     # constituent-1 pair and par2 row, and P(2) one per distinct row at n
-    calls = []
-    real = cwef_w2_punctured
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(cli, "cwef_w2_punctured", counted)
-    monkeypatch.setattr(pccc, "cwef_w2_punctured", counted)
-    pccc.constituent_cwefs_w2.cache_clear()
+    calls = count_cwef_builds(monkeypatch, cli, cwef)
     code, out, _ = run(capsys, "search", "--gr1", "15", "--gf1", "17",
                        "--rate", "2/3", "--period", "4", "--n", "200")
     assert code == 0 and "# candidates = 924" in out
     probe = [args for args in calls if args[3] != 200]
     at_n = [args for args in calls if args[3] == 200]
+    assert probe and at_n
+    code15 = RscCode.from_octals("15", "17")
+    assert {args[3] for args in probe} == {probe_length(code15, 4)}
     assert len(probe) <= 2**8 + 2**4
     assert len(set(probe)) == len(probe)
     assert len(set(at_n)) == len(at_n)
+
+
+def test_patterns_builds_each_constituent_once(monkeypatch, capsys):
+    # the classification and the minima lines read one enumerator and one
+    # core-weight list per constituent
+    calls = count_cwef_builds(monkeypatch, cwef)
+    cores = []
+    real_cores = puncture.punctured_core_weights
+
+    def counted_cores(*args):
+        cores.append(args)
+        return real_cores(*args)
+
+    monkeypatch.setattr(puncture, "punctured_core_weights", counted_cores)
+    monkeypatch.setattr(cli, "punctured_core_weights", counted_cores)
+    code, out, _ = run(capsys, "patterns", "--gr1", "15", "--gf1", "17",
+                       "--pseudo", "B")
+    assert code == 0 and "constituent 2 (15/17): Normal" in out
+    assert len(calls) == 2 and len(cores) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--gr1", "15", "--gf1", "17", "--rate", "1/2", "--period", "3"],
+    ["patterns", "--gr1", "23", "--gf1", "35", "--pseudo", "A"],
+    ["bound", "--gr1", "23", "--gf1", "35", "--pseudo", "A", "--n", "500",
+     "--wmax", "2"],
+])
+def test_commands_without_the_dp_leave_numpy_unloaded(argv):
+    # only the trellis DP imports numpy
+    script = ("import sys; from turbobound.cli import entrypoint; "
+              f"code = entrypoint({argv!r}); "
+              "sys.exit(code or 'numpy' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
 
 
 def test_search_ranks_no_catastrophic_pattern(tmp_path, capsys):

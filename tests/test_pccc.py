@@ -1,20 +1,24 @@
 """Uniform-interleaver combination, Gaussian tails and the bound pipeline."""
 
 import math
+import warnings
 from fractions import Fraction
 from math import comb
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from turbobound.cwef import Cwef
+from turbobound.cwef import Cwef, cwef_w2_punctured, min_weights
+from turbobound.oracle import GRID_CODES
 from turbobound.pccc import (BoundPoint, IowefSlice, PcccConfig,
-                             combine_uniform_interleaver,
-                             constituent_cwefs_w2, free_effective_distance,
-                             iowef_slice, p2_approximation, p2_slice,
-                             q_function, truncated_union_bound,
-                             union_bound_term)
-from turbobound.puncture import PcccPunctureSet, pseudo_random_pattern
+                             combine_uniform_interleaver, d_free_eff,
+                             free_effective_distance, iowef_slice,
+                             p2_approximation, p2_slice, q_function,
+                             truncated_union_bound, union_bound_term)
+from turbobound.puncture import (PcccPunctureSet, code_rate, probe_length,
+                                 pseudo_random_pattern)
 from turbobound.rsc import RscCode, step
 
 CODE_15_17 = RscCode.from_octals("15", "17")
@@ -92,10 +96,10 @@ def enumerate_weight2(code, pu_row, pz_row, n):
 def test_combine_matches_double_enumeration():
     # both constituents enumerated pair by pair, then averaged by hand
     n = 50
-    cfg = config_for(PA, n)
     t1 = enumerate_weight2(CODE_15_17, PA.sys, PA.par1, n)
     t2 = enumerate_weight2(CODE_15_17, (0,) * 7, PA.par2, n)
-    a1, a2 = constituent_cwefs_w2(cfg)
+    a1 = cwef_w2_punctured(CODE_15_17, PA.sys, PA.par1, n)
+    a2 = cwef_w2_punctured(CODE_15_17, (0,) * 7, PA.par2, n)
     assert a1.terms == t1
     assert a2.terms == t2
     expected = {}
@@ -267,6 +271,35 @@ def test_free_effective_distance_other_codes():
     pb = pseudo_random_pattern(code, "B")
     assert free_effective_distance(PcccConfig(code, code, pa, 100)) == 16
     assert free_effective_distance(PcccConfig(code, code, pb, 100)) == 10
+
+
+@st.composite
+def configs(draw):
+    """A grid code, random rows of period <= 8, and a block length on
+    either side of the constituents' probe lengths."""
+    code = RscCode.from_octals(*draw(st.sampled_from(GRID_CODES)))
+    pset = PcccPunctureSet(*[draw(st.integers(1, 8).flatmap(
+        lambda m: st.tuples(*[st.integers(0, 1)] * m))) for _ in range(3)])
+    # rates outside (0, 1) are refused by PcccConfig
+    assume(sum(pset.sys) + sum(pset.par1) + sum(pset.par2) > 0)
+    assume(0 < code_rate(pset) < 1)
+    probe = max(probe_length(code, c.period)
+                for c in (pset.constituent1(), pset.constituent2()))
+    n = draw(st.integers(code.period + 1, probe + 2 * code.period))
+    return PcccConfig(code, code, pset, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(configs())
+def test_free_effective_distance_is_the_minimum_at_n(cfg):
+    # the probe-length minima give the same d_free_eff as the pair of
+    # enumerators at n itself, whether n is below or above the probe
+    c1, c2 = cfg.punctures.constituent1(), cfg.punctures.constituent2()
+    at_n = [min_weights(cwef_w2_punctured(code, c.p_u, c.p_z, cfg.n))
+            for code, c in ((cfg.code1, c1), (cfg.code2, c2))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert free_effective_distance(cfg) == d_free_eff(*at_n)
 
 
 def test_free_effective_distance_catastrophic():
