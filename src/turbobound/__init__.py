@@ -9,11 +9,11 @@ against an exact trellis pass and brute-force encoding.
 
 __version__ = "0.1.0"
 
-from .gf2 import BinaryPolynomial, is_irreducible, is_primitive, lfsr_sequence
+from .gf2 import BinaryPolynomial, is_primitive, lfsr_sequence
 from .rsc import RscCode, core_weight, encode, step, weight2_parity_response
 from .puncture import (Classification, PcccPunctureSet, PuncturingPattern,
-                       classify, code_rate, column_index, complement_row,
-                       extend_row, probe_length, pseudo_random_pattern,
+                       classify, code_rate, complement_row, extend_row,
+                       probe_length, pseudo_random_pattern,
                        punctured_core_weights, row_from_string, row_to_string)
 from .cwef import (Cwef, cwef_w2_punctured, cwef_w2_unpunctured,
                    group_multiplicity, min_weights, path_weights, weight2_minima)
@@ -28,10 +28,10 @@ from .pccc import (BoundCurve, BoundPoint, IowefSlice, PcccConfig,
 
 __all__ = [
     "__version__",
-    "BinaryPolynomial", "is_irreducible", "is_primitive", "lfsr_sequence",
+    "BinaryPolynomial", "is_primitive", "lfsr_sequence",
     "RscCode", "core_weight", "encode", "step", "weight2_parity_response",
     "Classification", "PcccPunctureSet", "PuncturingPattern", "classify",
-    "code_rate", "column_index", "complement_row", "extend_row",
+    "code_rate", "complement_row", "extend_row",
     "probe_length", "pseudo_random_pattern", "punctured_core_weights",
     "row_from_string", "row_to_string",
     "Cwef", "cwef_w2_punctured", "cwef_w2_unpunctured", "group_multiplicity",

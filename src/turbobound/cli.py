@@ -73,8 +73,7 @@ def _parse_snr(text: str) -> tuple[float, ...]:
         raise ValueError(f"--snr values must be finite, got {text!r}")
     # the single value, or the start and stop of a grid
     if max(values[:2]) > MAX_SNR_DB:
-        raise ValueError(
-            f"--snr values must not exceed {MAX_SNR_DB} dB, got {text!r}")
+        raise ValueError(f"--snr values must not exceed {MAX_SNR_DB} dB, got {text!r}")
     if len(values) == 1:
         return (values[0],)
     start, stop, step = values
@@ -110,7 +109,7 @@ def _parse_rate(text: str) -> Fraction:
 def _codes(args) -> tuple[RscCode, RscCode]:
     code1 = RscCode.from_octals(args.gr1, args.gf1)
     code2 = RscCode.from_octals(args.gr2 or args.gr1, args.gf2 or args.gf1)
-    return code1, code2
+    return code1, (code1 if code2 == code1 else code2)  # one period walk for both
 
 
 def _resolve_rows(args, code1: RscCode) -> PcccPunctureSet:
@@ -136,7 +135,8 @@ def _resolve_rows(args, code1: RscCode) -> PcccPunctureSet:
 def _check_block(n: int, code1: RscCode, code2: RscCode) -> None:
     floor = max(code1.period, code2.period) + 1
     if not floor <= n <= MAX_BLOCK:
-        raise ValueError(f"--n must lie in [{floor}, {MAX_BLOCK}]")
+        raise ValueError(f"encoder period {floor - 1} exceeds {MAX_BLOCK}, the largest --n"
+                         if floor > MAX_BLOCK else f"--n must lie in [{floor}, {MAX_BLOCK}]")
 
 
 def _metadata(subcommand: str, codes, entries: dict) -> list[str]:

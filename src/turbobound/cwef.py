@@ -30,11 +30,6 @@ class Cwef:
     def total(self) -> int:
         return sum(self.terms.values())
 
-    def to_text(self) -> str:
-        lines = [f"{self.w} {self.n}"]
-        lines += [f"{u} {z} {c}" for (u, z), c in sorted(self.terms.items())]
-        return "\n".join(lines) + "\n"
-
 
 def min_weights(c: Cwef) -> tuple[int, int]:
     """(minimum u+z, minimum z) over the stored terms."""

@@ -12,38 +12,6 @@ from dataclasses import dataclass
 MAX_DEGREE = 24
 
 
-def _poly_mod(a: int, b: int) -> int:
-    """Remainder of a modulo b, both taken as GF(2) polynomials."""
-    db = b.bit_length()
-    while a and a.bit_length() >= db:
-        a ^= b << (a.bit_length() - db)
-    return a
-
-
-def _poly_mulmod(a: int, b: int, mod: int) -> int:
-    # Operands must already be reduced; keeps every intermediate below mod.
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        b >>= 1
-        a <<= 1
-        if a.bit_length() == mod.bit_length():
-            a ^= mod
-    return out
-
-
-def _poly_powmod(base: int, exp: int, mod: int) -> int:
-    result = 1
-    base = _poly_mod(base, mod)
-    while exp:
-        if exp & 1:
-            result = _poly_mulmod(result, base, mod)
-        base = _poly_mulmod(base, base, mod)
-        exp >>= 1
-    return result
-
-
 @dataclass(frozen=True)
 class BinaryPolynomial:
     """Polynomial over GF(2), bit j of ``bits`` = coefficient of D^j."""
@@ -64,22 +32,8 @@ class BinaryPolynomial:
     def constant_term(self) -> int:
         return self.bits & 1
 
-    def coefficient(self, j: int) -> int:
-        if j < 0:
-            raise ValueError("coefficient index must be >= 0")
-        return (self.bits >> j) & 1
-
     def to_octal(self) -> str:
         return format(self.bits, "o")
-
-    def __str__(self) -> str:
-        if self.bits == 1:
-            return "1"
-        parts = []
-        for j in range(self.degree, -1, -1):
-            if self.coefficient(j):
-                parts.append("1" if j == 0 else ("D" if j == 1 else f"D^{j}"))
-        return " + ".join(parts)
 
 
 def from_octal(text: str) -> BinaryPolynomial:
@@ -93,46 +47,18 @@ def from_octal(text: str) -> BinaryPolynomial:
     return BinaryPolynomial(value)
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def is_irreducible(p: BinaryPolynomial) -> bool:
-    """Trial division by every polynomial of degree 1..deg/2."""
-    nu = p.degree
-    if nu < 1:
-        return False
-    for q in range(2, 1 << (nu // 2 + 1)):
-        if _poly_mod(p.bits, q) == 0:
-            return False
-    return True
-
-
 def period(p: BinaryPolynomial) -> int:
-    """Smallest L >= 1 such that p divides D^L + 1.
+    """Smallest L >= 1 such that p divides D^L + 1: the order of D modulo p.
 
-    Defined for polynomials with a non-zero constant term; for a
-    primitive polynomial of degree nu this is 2^nu - 1.
+    Defined for polynomials with a non-zero constant term.  Walks the
+    powers D^L mod p one by one, so it costs O(L) steps, at most
+    2^nu - 1 of them.
     """
     if p.degree < 1:
         raise ValueError("period is undefined for constant polynomials")
     if p.constant_term == 0:
         raise ValueError("period requires a non-zero constant term (D must not divide p)")
-    nu = p.degree
-    bound = (1 << nu) - 1
-    if is_irreducible(p):
-        # The order of D divides 2^nu - 1; probe divisors in ascending order.
-        for d in _divisors(bound):
-            if _poly_powmod(2, d, p.bits) == 1:
-                return d
+    bound = (1 << p.degree) - 1
     r = 1
     for ell in range(1, bound + 1):
         r <<= 1
@@ -144,11 +70,15 @@ def period(p: BinaryPolynomial) -> int:
 
 
 def is_primitive(p: BinaryPolynomial) -> bool:
+    """A polynomial with a non-zero constant term is primitive exactly
+    when D has order 2^nu - 1 modulo it (Lidl & Niederreiter, Finite
+    Fields, ch. 3): D then generates every non-zero residue, so the
+    residues form a field and p is irreducible."""
     if p.degree < 1:
         raise ValueError("primitivity is undefined for constant polynomials")
     if p.constant_term == 0:
         return False
-    return is_irreducible(p) and period(p) == (1 << p.degree) - 1
+    return period(p) == (1 << p.degree) - 1
 
 
 def lfsr_sequence(p: BinaryPolynomial, length: int) -> list[int]:

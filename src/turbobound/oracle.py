@@ -27,6 +27,11 @@ DP_W_LIMIT = 6
 DP_D_LIMIT = 512
 # without a parity cap the z axis spans the whole block
 DP_UNCAPPED_N_LIMIT = 2048
+# bytes the trellis pass may hold: its two row buffers and the views
+# of its transitions, which grow with the 2^nu states
+DP_MEMORY_LIMIT = 1 << 28
+# one transition's destination and source views plus their tuple
+_DP_VIEW_BYTES = 320
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,13 @@ def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
     # what a step pushes past the cap and are cleared every step
     size_u, size_d = w_max + 1, d_cap + 3
     span = size_u * size_u * size_d
+    # two int64 rows per state, and 16 transitions per state: two inputs
+    # times the 8 (p_u bit, p_z bit, buffer order) keys of moves below
+    need = n_states * (2 * 8 * span + 16 * _DP_VIEW_BYTES)
+    if need > DP_MEMORY_LIMIT:
+        raise ValueError(
+            f"the trellis pass over {n_states} states would need about "
+            f"{need >> 20} MiB, over its {DP_MEMORY_LIMIT >> 20} MiB limit")
     bufs = np.zeros((2, n_states, span), dtype=np.int64)
     bufs[0, 0, 0] = 1
     # per (p_u bit, p_z bit, buffer order): the destination and source

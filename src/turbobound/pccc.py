@@ -61,11 +61,6 @@ class IowefSlice:
     w: int
     coeffs: dict[int, int]
 
-    def min_distance(self) -> int:
-        if not self.coeffs:
-            raise ValueError("empty distance spectrum")
-        return min(self.coeffs)
-
 
 @dataclass(frozen=True)
 class BoundPoint:
@@ -249,6 +244,13 @@ def truncated_union_bound(config: PcccConfig, w_max: int = DEFAULT_W_MAX,
         raise ValueError("w_max must be at least 2")
     if d_max < 1:
         raise ValueError("d_max must be positive")
+    # the smallest weight-2 distance: constituent 1's smallest u + z plus
+    # constituent 2's smallest z, also when either of them is 0
+    m1, m2 = (weight2_minima(*c, config.n) for c in config.constituents())
+    if m1[0] + m2[1] > d_max:
+        raise ValueError(
+            f"d_max={d_max} is below the smallest weight-2 distance; "
+            "the bound would be vacuous")
     r1, r2 = (exact_cwef_dp(*c, config.n, w_max, d_max)
               for c in config.constituents())
     truncated = r1.truncated or r2.truncated
@@ -258,10 +260,6 @@ def truncated_union_bound(config: PcccConfig, w_max: int = DEFAULT_W_MAX,
         kept = {d: c for d, c in sl.coeffs.items() if d <= d_max}
         if len(kept) < len(sl.coeffs):
             truncated = True
-        if w == 2 and not kept:
-            raise ValueError(
-                f"d_max={d_max} is below the smallest weight-2 distance; "
-                "the bound would be vacuous")
         sl = IowefSlice(w, kept)
         per_weight[w] = tuple(
             union_bound_term(sl, config.n, config.rate, db) for db in ebn0_db)

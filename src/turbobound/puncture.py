@@ -2,8 +2,8 @@
 shifted core weights, and catastrophic/semi-catastrophic screening.
 
 A pattern row is a tuple of keep flags (1 = transmit, 0 = drop), the
-leftmost entry being column m = 1.  Rows repeat periodically, so the
-1-based accessors implement p_{i,m+jM} = p_{i,m}.
+leftmost entry being column m = 1.  Rows repeat periodically:
+p_{i,m+jM} = p_{i,m}.
 """
 
 from __future__ import annotations
@@ -48,13 +48,6 @@ def extend_row(row, length: int) -> Row:
     return row * (length // len(row))
 
 
-def column_index(i: int, m_period: int) -> int:
-    """1-based pattern column active at 0-based time step i."""
-    if i < 0 or m_period < 1:
-        raise ValueError("column_index needs i >= 0 and period >= 1")
-    return i % m_period + 1
-
-
 @dataclass(frozen=True)
 class PuncturingPattern:
     """A 2 x M keep/drop matrix: systematic row over parity row."""
@@ -71,13 +64,6 @@ class PuncturingPattern:
     @property
     def period(self) -> int:
         return len(self.p_u)
-
-    def element(self, i: int, m: int) -> int:
-        """Periodic 1-based accessor p_{i,m} with i in {1, 2}."""
-        if i not in (1, 2) or m < 1:
-            raise ValueError("element expects i in {1,2} and m >= 1")
-        row = self.p_u if i == 1 else self.p_z
-        return row[(m - 1) % self.period]
 
 
 @dataclass(frozen=True)

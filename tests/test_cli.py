@@ -7,6 +7,7 @@ from itertools import combinations
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -67,6 +68,9 @@ def test_version_and_usage_errors():
       "--sys", "1", "--par1", "1"], "all three"),
     (["patterns", "--gr1", "17", "--gf1", "15", "--pseudo", "A"],
      "not primitive"),
+    # degree 20, L = 1,048,575: no block length is both longer and allowed
+    (["bound", "--gr1", "4000011", "--gf1", "1", "--n", "1000"],
+     "encoder period 1048575 exceeds 1000000, the largest --n"),
 ])
 def test_domain_errors_exit_2(capsys, argv, fragment):
     code, _, err = run(capsys, *argv)
@@ -170,7 +174,31 @@ def test_bound_refuses_before_building_at_n(monkeypatch, capsys):
                          "--pseudo", "A", "--n", "1000000", "--wmax", "4")
     assert code == 2 and out == ""
     assert "path counts would overflow 64-bit accumulation" in err
-    assert [args[3] for args in calls] == [61, 61]
+    # d_free_eff and the --dmax vacuity check each read the two minima
+    assert [args[3] for args in calls] == [61, 61, 61, 61]
+
+
+def test_bound_refuses_vacuous_dmax_before_the_dp(monkeypatch, capsys):
+    def no_dp(*_):
+        raise AssertionError("trellis DP ran before the vacuity refusal")
+
+    monkeypatch.setattr(pccc, "exact_cwef_dp", no_dp)
+    code, out, err = run(capsys, "bound", "--gr1", "23", "--gf1", "35",
+                         "--pseudo", "A", "--n", "100000", "--wmax", "3",
+                         "--dmax", "5")
+    assert code == 2 and out == ""
+    assert err == ("turbobound: error: d_max=5 is below the smallest weight-2 "
+                   "distance; the bound would be vacuous\n")
+
+
+def test_bound_refuses_a_dp_that_cannot_fit(capsys):
+    # 1+D^16 has period 16 but 65,536 states: the pass would need 2.2 GiB
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bound", "--gr1", "200001", "--gf1", "1",
+                         "--n", "200", "--wmax", "3")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "65536 states would need about 2288 MiB" in err
 
 
 @pytest.mark.parametrize("snr", ["0:inf:1", "nan", "1e400", "0:5:0.0005",
@@ -608,6 +636,8 @@ def test_search_infeasible_rate(capsys):
       "--period", "2"], "--rate"),
     (["search", "--gr1", "15", "--gf1", "17", "--rate", "x",
       "--period", "2"], "--rate"),
+    (["search", "--gr1", "4000011", "--gf1", "1", "--rate", "1/2",
+      "--period", "2"], "encoder period 1048575 exceeds 1000000"),
 ])
 def test_search_rejects(capsys, argv, fragment):
     code, _, err = run(capsys, *argv)

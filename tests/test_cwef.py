@@ -22,7 +22,6 @@ PB = pseudo_random_pattern(CODE_15_17, "B")
 def test_cwef_container():
     c = Cwef(2, 10, {(2, 4): 3, (1, 2): 1})
     assert c.total() == 4
-    assert c.to_text() == "2 10\n1 2 1\n2 4 3\n"
     assert min_weights(c) == (3, 2)
     with pytest.raises(ValueError):
         min_weights(Cwef(2, 10, {}))

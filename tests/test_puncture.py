@@ -6,7 +6,7 @@ import pytest
 
 from turbobound.puncture import (Classification, PcccPunctureSet,
                                  PuncturingPattern, classify, code_rate,
-                                 column_index, complement_row, extend_row,
+                                 complement_row, extend_row,
                                  probe_length, pseudo_random_pattern,
                                  punctured_core_weights, row_from_string,
                                  row_to_string)
@@ -30,26 +30,11 @@ def test_row_helpers():
         complement_row(())
 
 
-def test_column_index():
-    assert [column_index(i, 3) for i in range(7)] == [1, 2, 3, 1, 2, 3, 1]
-    with pytest.raises(ValueError):
-        column_index(-1, 3)
-    with pytest.raises(ValueError):
-        column_index(0, 0)
-
-
 def test_puncturing_pattern():
     pat = PuncturingPattern((1, 0), (0, 1))
     assert pat.period == 2
-    assert pat.element(1, 1) == 1
-    assert pat.element(1, 2) == 0
-    assert pat.element(2, 5) == 0  # wraps: column 5 -> column 1
     with pytest.raises(ValueError):
         PuncturingPattern((1, 0), (1,))
-    with pytest.raises(ValueError):
-        pat.element(3, 1)
-    with pytest.raises(ValueError):
-        pat.element(1, 0)
 
 
 def test_puncture_set_constituents():
