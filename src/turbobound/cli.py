@@ -26,7 +26,8 @@ from .cwef import cwef_w2_punctured, weight2_minima
 from .oracle import run_verification
 from .pccc import (DEFAULT_D_MAX, DEFAULT_W_MAX, PcccConfig, d_free_eff,
                    distance_spectrum, free_effective_distance,
-                   p2_approximation, truncated_union_bound, union_bound_term)
+                   p2_approximation, q_horizon, truncated_union_bound,
+                   union_bound_term)
 # not called here; the benchmark harness self-test traces cli.p2_slice
 from .pccc import p2_slice  # noqa: F401
 from .puncture import (PcccPunctureSet, classification, code_rate,
@@ -133,10 +134,9 @@ def _resolve_rows(args, code1: RscCode) -> PcccPunctureSet:
 
 
 def _check_block(n: int, code1: RscCode, code2: RscCode) -> None:
-    floor = max(code1.period, code2.period) + 1
+    floor = _check_period(code1, code2)
     if not floor <= n <= MAX_BLOCK:
-        raise ValueError(f"encoder period {floor - 1} exceeds {MAX_BLOCK}, the largest --n"
-                         if floor > MAX_BLOCK else f"--n must lie in [{floor}, {MAX_BLOCK}]")
+        raise ValueError(f"--n must lie in [{floor}, {MAX_BLOCK}]")
 
 
 def _metadata(subcommand: str, codes, entries: dict) -> list[str]:
@@ -244,8 +244,20 @@ def cmd_bound(args) -> int:
     return 0
 
 
+def _check_period(code1: RscCode, code2: RscCode) -> int:
+    """The shortest block that holds a weight-2 event of both encoders;
+    a period that leaves no valid --n is refused."""
+    # defined below cmd_bound, whose free_effective_distance warning
+    # names its own line of this file on stderr
+    floor = max(code1.period, code2.period) + 1
+    if floor > MAX_BLOCK:
+        raise ValueError(f"encoder period {floor - 1} exceeds {MAX_BLOCK}, the largest --n")
+    return floor
+
+
 def cmd_patterns(args) -> int:
     codes = code1, code2 = _codes(args)
+    _check_period(code1, code2)
     pset = _resolve_rows(args, code1)
     c1 = pset.constituent1()
     c2 = pset.constituent2()
@@ -290,14 +302,17 @@ def _minima_batch(tasks):
 
 def _search_p2(payload):
     """P(2) of each contender in a chunk, from the spectrum and union sum
-    that `bound` uses; each distinct constituent row is built once."""
+    that `bound` uses, clipped at the chunk's one D*; each distinct
+    constituent row is built once."""
     code1, code2, chunk, n, rate, db = payload
+    horizon = q_horizon(rate, db)
     cwef = cache(cwef_w2_punctured)  # held for this chunk only
     out = []
     for sys_row, par1_row, par2_row in chunk:
-        a1 = cwef(code1, sys_row, par1_row, n)
-        a2 = cwef(code2, (0,) * len(par2_row), par2_row, n)
-        out.append(union_bound_term(distance_spectrum(a1, a2, n, 2), n, rate, db))
+        a1 = cwef(code1, sys_row, par1_row, n, horizon)
+        a2 = cwef(code2, (0,) * len(par2_row), par2_row, n, horizon)
+        out.append(union_bound_term(distance_spectrum(a1, a2, n, 2, horizon),
+                                    n, rate, db))
     return out
 
 

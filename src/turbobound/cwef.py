@@ -9,6 +9,7 @@ enumerators without touching a trellis.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from math import lcm
@@ -90,9 +91,15 @@ def cwef_w2_unpunctured(code: RscCode, n: int) -> Cwef:
     return Cwef(2, n, terms)
 
 
-def cwef_w2_punctured(code: RscCode, p_u, p_z, n: int) -> Cwef:
+def cwef_w2_punctured(code: RscCode, p_u, p_z, n: int,
+                      horizon: float = math.inf) -> Cwef:
     """Weight-2 enumerator of the punctured code: accumulate the group
-    multiplicity of every (k, m) pair onto its exact (u, z) weights."""
+    multiplicity of every (k, m) pair onto its exact (u, z) weights.
+
+    A path's parity weight is at least the core sum of its start column,
+    which grows with k.  So the k loop stops once every column's core
+    sum has reached horizon: the enumerator is exact at every parity
+    weight below horizon, and may lack terms at or above it."""
     p_u, p_z = as_row(p_u), as_row(p_z)
     l_period = code.period
     if n <= l_period:
@@ -114,6 +121,8 @@ def cwef_w2_punctured(code: RscCode, p_u, p_z, n: int) -> Cwef:
             core_acc[m0] += z_cores[(m0 + 1 + base) % m_period]
             if k >= 2:
                 wrap_acc[m0] += pz[(m0 + base) % m_period]
+        if horizon <= min(core_acc):
+            break
         count_q, count_r = divmod(n - k * l_period, m_period)
         span = k * l_period
         for m0 in range(m_period):

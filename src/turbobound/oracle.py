@@ -12,7 +12,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import combinations, product
+from itertools import combinations, product, starmap
 from math import comb
 from operator import xor
 
@@ -150,8 +150,9 @@ def brute_force_cwef(code: RscCode, p_u, p_z, n: int, w: int) -> Cwef:
     pu_mask = sum(p_u[i % len(p_u)] << i for i in range(n)) << nu
     pz_mask = sum(p_z[i % len(p_z)] << i for i in range(n)) << (nu + n)
     state_mask = (1 << nu) - 1
-    merged = [word for word in map(partial(reduce, xor), combinations(impulses, w))
-              if not word & state_mask]
+    words = (starmap(xor, combinations(impulses, 2)) if w == 2
+             else map(partial(reduce, xor), combinations(impulses, w)))
+    merged = [word for word in words if not word & state_mask]
     if w == 2:
         # remerge happens exactly at separations that are multiples of
         # the feedback period, never anywhere else

@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .cwef import Cwef, cwef_w2_punctured, weight2_minima
 from .oracle import exact_cwef_dp
@@ -116,13 +117,14 @@ def _check_pair(a1: Cwef, a2: Cwef, n: int, w: int) -> None:
         raise ValueError(f"length mismatch: {a1.n}, {a2.n} vs requested {n}")
 
 
-def _marginal(a: Cwef, u_weight: int) -> dict[int, int]:
+def _marginal(a: Cwef, u_weight: int, horizon: float = math.inf) -> dict[int, int]:
     """Counts of a summed by u_weight * u + z: by distance u + z for 1,
-    by parity weight alone for 0."""
+    by parity weight alone for 0; only the keys below horizon."""
     out: dict[int, int] = {}
     for (u, z), c in a.terms.items():
         key = u_weight * u + z
-        out[key] = out.get(key, 0) + c
+        if key < horizon:
+            out[key] = out.get(key, 0) + c
     return out
 
 
@@ -150,15 +152,22 @@ def combine_uniform_interleaver(a1: Cwef, a2: Cwef, n: int, w: int) -> Cwef:
     return Cwef(w, n, terms)
 
 
-def distance_spectrum(a1: Cwef, a2: Cwef, n: int, w: int) -> IowefSlice:
+def distance_spectrum(a1: Cwef, a2: Cwef, n: int, w: int,
+                      horizon: float = math.inf) -> IowefSlice:
     """Distance spectrum of the concatenation behind the uniform
     interleaver, iowef_slice(combine_uniform_interleaver(a1, a2, n, w)),
     in one product: a1 projected onto d = u + z convolved with a2
-    projected onto z."""
+    projected onto z.  Only the distances below horizon are kept, and
+    only the terms that can reach them take part in the product."""
     _check_pair(a1, a2, n, w)
-    if not a1.terms or not a2.terms:
-        return IowefSlice(w, {})
-    return IowefSlice(w, dict(_convolve(_marginal(a1, 1), _marginal(a2, 0))))
+    d1, z2 = _marginal(a1, 1, horizon), _marginal(a2, 0, horizon)
+    coeffs: dict[int, int] = {}
+    if d1 and z2:
+        for d, c in _convolve(d1, z2):
+            if d >= horizon:
+                break
+            coeffs[d] = c
+    return IowefSlice(w, coeffs)
 
 
 def iowef_slice(a: Cwef) -> IowefSlice:
@@ -179,31 +188,91 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def union_bound_term(b: IowefSlice, n: int, rate, ebn0_db: float) -> float:
-    """Contribution P(w) of one input weight to the union bound: the sum
-    over d of (w / n) * (count_d / C(n, w)) * Q(sqrt(2 R Eb/N0 d))."""
+def _scale(rate, ebn0_db: float) -> float:
+    """2 R Eb/N0: Q(sqrt(scale * d)) is the pairwise error probability
+    of a codeword at distance d."""
+    return 2.0 * float(Fraction(rate)) * 10.0 ** (ebn0_db / 10.0)
+
+
+def _tails(scale: float, distances) -> list[float]:
+    """Q(sqrt(scale * d)) for each d of an ascending sequence, up to the
+    first that is exactly 0.0: Q does not increase with d, so every
+    later one is 0.0 too.  Each is q_function's expression, inline."""
+    sqrt, erfc, inf, root2 = math.sqrt, math.erfc, math.inf, math.sqrt(2.0)
+    out = []
+    for d in distances:
+        x = sqrt(scale * d)
+        if not x < inf:
+            raise ValueError("q_function needs a finite argument")
+        q = 0.5 * erfc(x / root2)
+        if q == 0.0:
+            break
+        out.append(q)
+    return out
+
+
+def q_horizon(rate, ebn0_db: float) -> float:
+    """D*, the smallest distance d whose Q(sqrt(2 R Eb/N0 d)) is exactly
+    0.0 in floats, or inf when no d up to 2**1000 reaches 0.0.
+
+    Q falls as d or Eb/N0 grows, so over a grid that starts at ebn0_db
+    no term at a distance of D* or more adds to a union sum, and every
+    spectrum may be clipped there.  D* is about 1481 / (2 R Eb/N0):
+    1481 at 0 dB and rate 1/2."""
+    scale = _scale(rate, ebn0_db)
+
+    def underflows(d: int) -> bool:
+        return not _tails(scale, (d,))
+
+    hi = 1
+    while not underflows(hi):
+        hi *= 2
+        if hi > 2**1000:  # scale * d turns d into a float, below 2**1024
+            return math.inf
+    lo = hi // 2  # Q(lo) > 0; Q(0) = 0.5
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if underflows(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def union_bound_curve(b: IowefSlice, n: int, rate, ebn0_db) -> tuple[float, ...]:
+    """Contribution P(w) of one input weight to the union bound at each
+    Eb/N0 of a grid: the sum over d of
+    (w / n) * (count_d / C(n, w)) * Q(sqrt(2 R Eb/N0 d)).  Each
+    coefficient is divided once for the whole grid."""
     rate = Fraction(rate)
     if not 0 < rate < 1:
         raise ValueError(f"rate {rate} outside (0, 1)")
     if n < 1:
         raise ValueError("block length must be positive")
-    scale = 2.0 * float(rate) * 10.0 ** (ebn0_db / 10.0)
     denom = n * comb(n, b.w)
-    summands = []
-    for d, c in sorted(b.coeffs.items()):
-        q = q_function(math.sqrt(scale * d))
-        if q == 0.0:
-            # Q does not increase with d, so every later summand is 0.0
-            break
-        # int / int is correctly rounded: float(Fraction(b.w * c, denom))
-        summands.append(b.w * c / denom * q)
-    return math.fsum(summands)
+    items = sorted(b.coeffs.items())
+    # scale * d converts an int d to float anyway; do it once per grid
+    distances = [float(d) for d, _ in items]
+    # int / int is correctly rounded: float(Fraction(b.w * c, denom))
+    coefficients = [b.w * c / denom for _, c in items]
+    # map stops at the shorter list: Q past the first 0.0 adds nothing
+    return tuple(
+        math.fsum(map(mul, coefficients, _tails(_scale(rate, db), distances)))
+        for db in ebn0_db)
 
 
-def p2_slice(config: PcccConfig) -> IowefSlice:
-    """Distance spectrum of the dominant weight-2 term, closed forms only."""
-    a1, a2 = (cwef_w2_punctured(*c, config.n) for c in config.constituents())
-    return distance_spectrum(a1, a2, config.n, 2)
+def union_bound_term(b: IowefSlice, n: int, rate, ebn0_db: float) -> float:
+    """Contribution P(w) of one input weight to the union bound at one
+    Eb/N0: union_bound_curve on a one-point grid."""
+    return union_bound_curve(b, n, rate, (ebn0_db,))[0]
+
+
+def p2_slice(config: PcccConfig, horizon: float = math.inf) -> IowefSlice:
+    """Distance spectrum of the dominant weight-2 term below horizon,
+    closed forms only."""
+    a1, a2 = (cwef_w2_punctured(*c, config.n, horizon)
+              for c in config.constituents())
+    return distance_spectrum(a1, a2, config.n, 2, horizon)
 
 
 def _as_points(raw_values, ebn0_db) -> tuple[BoundPoint, ...]:
@@ -217,8 +286,9 @@ def p2_approximation(config: PcccConfig, ebn0_db) -> BoundCurve:
     ebn0_db = tuple(float(db) for db in ebn0_db)
     if not ebn0_db:
         raise ValueError("need at least one SNR point")
-    sl = p2_slice(config)
-    raw = [union_bound_term(sl, config.n, config.rate, db) for db in ebn0_db]
+    # no distance at or past D* of the lowest point adds to any P(2)
+    sl = p2_slice(config, q_horizon(config.rate, min(ebn0_db)))
+    raw = union_bound_curve(sl, config.n, config.rate, ebn0_db)
     return BoundCurve(_as_points(raw, ebn0_db), label="p2")
 
 
@@ -261,8 +331,7 @@ def truncated_union_bound(config: PcccConfig, w_max: int = DEFAULT_W_MAX,
         if len(kept) < len(sl.coeffs):
             truncated = True
         sl = IowefSlice(w, kept)
-        per_weight[w] = tuple(
-            union_bound_term(sl, config.n, config.rate, db) for db in ebn0_db)
+        per_weight[w] = union_bound_curve(sl, config.n, config.rate, ebn0_db)
     totals = [math.fsum(per_weight[w][i] for w in per_weight)
               for i in range(len(ebn0_db))]
     curve = BoundCurve(_as_points(totals, ebn0_db), label=f"union_w{w_max}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 
 from .gf2 import lfsr_sequence
@@ -108,14 +109,20 @@ def code_rate(punctures: PcccPunctureSet) -> Fraction:
 
 def punctured_core_weights(code: RscCode, p_z) -> list[int]:
     """Parity weight of the open weight-2 excursion under each of the M
-    circular shifts of the parity row: z_core^m for m = 1..M."""
+    circular shifts of the parity row: z_core^m for m = 1..M.
+
+    Each z_core^m reads the response bits y_1..y_{L-1} against the row
+    from column m on, wrapping round.  So the response is first folded
+    by residue mod M, in O(L), and the M sums are then the cyclic
+    correlation of the folded response with the row, in O(M^2)."""
     p_z = as_row(p_z)
-    y = weight2_parity_response(code)
     m_period = len(p_z)
-    return [
-        sum(y[i - 1] * p_z[(i + m0 - 1) % m_period] for i in range(1, code.period))
-        for m0 in range(m_period)
-    ]
+    core = weight2_parity_response(code)[:code.period - 1]
+    folded = [sum(core[r::m_period]) for r in range(m_period)]
+    doubled = p_z + p_z
+    # the row is 0/1, so each product sum is a sum of selected entries
+    return [sum(compress(folded, doubled[m0:m0 + m_period]))
+            for m0 in range(m_period)]
 
 
 def pseudo_random_pattern(code: RscCode, variant: str,

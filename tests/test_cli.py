@@ -345,6 +345,22 @@ def test_patterns_catastrophic_period_beyond_cycle(capsys):
     assert "# n_probe = 15" in out
 
 
+def test_patterns_refuses_a_period_past_the_largest_block(monkeypatch, capsys):
+    # nu = 20, L = 1,048,575: refused like bound and search, before the
+    # m-sequence row is built; building it ran for minutes
+    def no_pattern(*_):
+        raise AssertionError("pseudo-random row built before the refusal")
+
+    monkeypatch.setattr(cli, "pseudo_random_pattern", no_pattern)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "patterns", "--gr1", "4000011", "--gf1", "1",
+                         "--pseudo", "A")
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == ""
+    assert err == ("turbobound: error: encoder period 1048575 exceeds "
+                   "1000000, the largest --n\n")
+
+
 def test_out_into_missing_directory(tmp_path, capsys):
     target = tmp_path / "missing" / "x.txt"
     code, out, err = run(capsys, "patterns", "--gr1", "15", "--gf1", "17",
@@ -587,6 +603,25 @@ def test_commands_without_the_dp_leave_numpy_unloaded(argv):
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120, env=env)
     assert done.returncode == 0, done.stderr
+
+
+def test_catastrophic_bound_warning_location_on_stderr():
+    # stderr is part of a report's bytes: the catastrophic-puncturing
+    # warning names the line of cmd_bound that calls
+    # free_effective_distance, and that line has been 213 since it was
+    # written; moving it changes every catastrophic run's stderr
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "turbobound", "bound", "--gr1", "15", "--gf1", "17",
+         "--sys", "0000000", "--par1", "0000010", "--par2", "1111111",
+         "--n", "50", "--wmax", "2"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
+    assert done.stderr == (
+        f"{cli.__file__}:213: UserWarning: catastrophic puncturing: weight-2 "
+        "event with zero transmitted weight\n"
+        "  dfree = free_effective_distance(config)\n")
 
 
 def test_search_ranks_no_catastrophic_pattern(tmp_path, capsys):

@@ -1,16 +1,21 @@
 """Pattern parsing, pseudo-random construction, rates and screening."""
 
+import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from turbobound.oracle import GRID_CODES
 from turbobound.puncture import (Classification, PcccPunctureSet,
                                  PuncturingPattern, classify, code_rate,
                                  complement_row, extend_row,
                                  probe_length, pseudo_random_pattern,
                                  punctured_core_weights, row_from_string,
                                  row_to_string)
-from turbobound.rsc import RscCode
+from turbobound.rsc import RscCode, weight2_parity_response
 
 CODE_15_17 = RscCode.from_octals("15", "17")
 CODE_7_5 = RscCode.from_octals("7", "5")
@@ -71,6 +76,37 @@ def test_punctured_core_weights_shift_sum():
     for row in [(1, 0, 1, 1), (0, 1, 1, 1, 0, 1, 0), (1, 1)]:
         total = sum(punctured_core_weights(CODE_15_17, row))
         assert total == 4 * sum(row)
+
+
+def double_sum_core_weights(code, p_z):
+    # the definition, one shift at a time in O(M L): z_core^m sums y_i
+    # times row column m + i - 1 (mod M) over i = 1..L-1; the row is
+    # written out long enough that every shift is a plain slice
+    core = weight2_parity_response(code)[:code.period - 1]
+    m_period = len(p_z)
+    wide = p_z * (-(-(len(core) + m_period) // m_period))
+    return [sum(map(mul, core, wide[m0:m0 + len(core)]))
+            for m0 in range(m_period)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(GRID_CODES),
+       st.integers(1, 150).flatmap(lambda m: st.tuples(*[st.integers(0, 1)] * m)))
+def test_punctured_core_weights_match_double_sum(gr_gf, p_z):
+    # rows shorter and longer than the encoder period fold differently
+    code = RscCode.from_octals(*gr_gf)
+    assert punctured_core_weights(code, p_z) == double_sum_core_weights(code, p_z)
+
+
+def test_punctured_core_weights_match_double_sum_nu12():
+    # L = 4095: the m-sequence row of period L, and random rows far
+    # shorter and longer than the period
+    code = RscCode.from_octals("10123", "1")
+    rng = random.Random(12)
+    rows = [pseudo_random_pattern(code, "A").par1]
+    rows += [tuple(rng.randint(0, 1) for _ in range(m)) for m in (1, 2, 64, 4099)]
+    for p_z in rows:
+        assert punctured_core_weights(code, p_z) == double_sum_core_weights(code, p_z)
 
 
 def test_pseudo_random_pattern_15_17():
