@@ -14,6 +14,7 @@ import os
 import re
 import sys
 import tempfile
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import cache
@@ -42,11 +43,6 @@ MAX_SNR_POINTS = 10**4
 MAX_SNR_DB = 3000
 SEARCH_CANDIDATE_LIMIT = 1_000_000
 _PROB = "{:.11e}"  # 12 significant digits, fixed width
-
-# metadata keys that map straight back onto command-line flags
-_METADATA_FLAGS = ("gr1", "gf1", "gr2", "gf2", "sys", "par1", "par2",
-                   "n", "snr", "wmax", "dmax", "rate", "period", "top")
-
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
@@ -133,6 +129,15 @@ def _resolve_rows(args, code1: RscCode) -> PcccPunctureSet:
                            row_from_string(args.par2))
 
 
+def _check_period(code1: RscCode, code2: RscCode) -> int:
+    """The shortest block that holds a weight-2 event of both encoders;
+    a period that leaves no valid --n is refused."""
+    floor = max(code1.period, code2.period) + 1
+    if floor > MAX_BLOCK:
+        raise ValueError(f"encoder period {floor - 1} exceeds {MAX_BLOCK}, the largest --n")
+    return floor
+
+
 def _check_block(n: int, code1: RscCode, code2: RscCode) -> None:
     floor = _check_period(code1, code2)
     if not floor <= n <= MAX_BLOCK:
@@ -146,26 +151,6 @@ def _metadata(subcommand: str, codes, entries: dict) -> list[str]:
                   f"# gf{i} = {code.feedforward.to_octal()}"]
     lines.extend(f"# {key} = {value}" for key, value in entries.items())
     return lines
-
-
-def argv_from_metadata(text: str) -> list[str]:
-    """Rebuild an equivalent command line from a report header."""
-    sub = None
-    flags: list[str] = []
-    for line in text.splitlines():
-        if not line.startswith("#"):
-            break
-        body = line[1:].strip()
-        if "=" not in body:
-            continue
-        key, _, value = (part.strip() for part in body.partition("="))
-        if key == "subcommand":
-            sub = value
-        elif key in _METADATA_FLAGS:
-            flags += [f"--{key}", value]
-    if sub is None:
-        raise ValueError("no subcommand recorded in the metadata header")
-    return [sub] + flags
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -242,17 +227,6 @@ def cmd_bound(args) -> int:
     text = "\n".join(_metadata("bound", codes, entries) + [header] + rows) + "\n"
     _write_text(args.out, text)
     return 0
-
-
-def _check_period(code1: RscCode, code2: RscCode) -> int:
-    """The shortest block that holds a weight-2 event of both encoders;
-    a period that leaves no valid --n is refused."""
-    # defined below cmd_bound, whose free_effective_distance warning
-    # names its own line of this file on stderr
-    floor = max(code1.period, code2.period) + 1
-    if floor > MAX_BLOCK:
-        raise ValueError(f"encoder period {floor - 1} exceeds {MAX_BLOCK}, the largest --n")
-    return floor
 
 
 def cmd_patterns(args) -> int:
@@ -352,6 +326,8 @@ def cmd_search(args) -> int:
         raise ValueError("search ranks at a single --snr value")
     if args.top < 1:
         raise ValueError("--top must be positive")
+    # a pool starts all its workers at once; past the CPUs they only wait
+    jobs = min(args.jobs, os.cpu_count() or 1)
     kept, rem = divmod(m * rate.denominator, rate.numerator)
     if rem or not m <= kept <= 3 * m:
         print(f"no pattern of period {m} meets rate {rate}", file=sys.stderr)
@@ -376,7 +352,7 @@ def cmd_search(args) -> int:
         [(code1, *pair) for pairs, _ in classes for pair in pairs]
         + [(code2, zeros, par2) for _, rows in classes for par2 in rows]))
     minima = dict(zip(tasks, (
-        mw for block in _pool_map(_minima_batch, _chunked(tasks, args.jobs), args.jobs)
+        mw for block in _pool_map(_minima_batch, _chunked(tasks, jobs), jobs)
         for mw in block)))
 
     def triples():
@@ -400,8 +376,8 @@ def cmd_search(args) -> int:
     contenders = [(d, rows) for d, (rows, _, _) in zip(dfree, triples())
                   if d >= threshold]
     payloads = [(code1, code2, [rows for _, rows in chunk], args.n, rate, grid[0])
-                for chunk in _chunked(contenders, args.jobs)]
-    p2_values = [v for block in _pool_map(_search_p2, payloads, args.jobs)
+                for chunk in _chunked(contenders, jobs)]
+    p2_values = [v for block in _pool_map(_search_p2, payloads, jobs)
                  for v in block]
     ranked = sorted(
         ((d, p2, rows) for (d, rows), p2 in zip(contenders, p2_values)),
@@ -519,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="single Eb/N0 in dB for the tie-break (default %(default)s)")
     p.add_argument("--top", type=int, default=20,
                    help="how many patterns to emit (default %(default)s)")
-    p.add_argument("--jobs", type=int, default=1, help="worker pool size")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per CPU")
     _add_out_flag(p)
     p.set_defaults(func=cmd_search)
 
@@ -528,22 +505,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the fixed verification grid: closed-form weight-2 "
                     "enumerators against the trellis dynamic program and "
                     "brute force. Exits 3 on any mismatch.")
-    p.add_argument("--jobs", type=int, default=1, help="worker pool size")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per CPU")
     _add_out_flag(p)
     p.set_defaults(func=cmd_verify)
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """A warning as one stderr line in the form of an error line: the
+    message alone, with no source location."""
+    print(f"turbobound: warning: {message}", file=sys.stderr)
+
+
 def entrypoint(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.out is not None:
-            _check_out(args.out)
-        return args.func(args)
-    except ValueError as exc:
-        print(f"turbobound: error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            if args.out is not None:
+                _check_out(args.out)
+            if getattr(args, "jobs", 1) < 1:
+                raise ValueError("--jobs must be at least 1")
+            return args.func(args)
+        except ValueError as exc:
+            print(f"turbobound: error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

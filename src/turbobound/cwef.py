@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .puncture import as_row, extend_row, probe_length, punctured_core_weights
-from .rsc import RscCode, core_weight, weight2_parity_response
+from .rsc import RscCode, weight2_parity_response
 
 
 @dataclass(frozen=True)
@@ -39,17 +39,6 @@ def min_weights(c: Cwef) -> tuple[int, int]:
     return (min(u + z for u, z in c.terms), min(z for _, z in c.terms))
 
 
-def group_multiplicity(n: int, k: int, l_period: int, m_period: int, m: int) -> int:
-    """Number of weight-2 paths of span k*l_period + 1 that start in
-    pattern column m within a block of n steps."""
-    if k < 1 or not 1 <= m <= m_period:
-        raise ValueError("need k >= 1 and 1 <= m <= m_period")
-    if n <= k * l_period:
-        return 0
-    q, r = divmod(n - k * l_period, m_period)
-    return q + 1 if m <= r else q
-
-
 def _parity_profile(code: RscCode, k: int) -> tuple[int, ...]:
     # parity of every transition on the weight-2 path: diverge, kL-1
     # cycle steps, remerge (always 1 since G_F has constant term 1)
@@ -69,26 +58,6 @@ def path_weights(code: RscCode, p_u, p_z, k: int, m: int) -> tuple[int, int]:
     z = sum(b * p_z[(m - 1 + t) % mz]
             for t, b in enumerate(_parity_profile(code, k)))
     return u, z
-
-
-def cwef_w2_unpunctured(code: RscCode, n: int) -> Cwef:
-    """Weight-2 enumerator of the parent rate-1/2 code: one term per
-    span, z(k) = k*z_core + 2 when G_F has full degree, with multiplicity
-    n - kL."""
-    l_period = code.period
-    if n <= l_period:
-        warnings.warn(f"no weight-2 path fits in n={n} <= L={l_period}; "
-                      "enumerator is empty", stacklevel=2)
-        return Cwef(2, n, {})
-    z_core = core_weight(code)
-    y_last = weight2_parity_response(code)[-1]
-    terms: dict[tuple[int, int], int] = {}
-    for k in range(1, (n - 1) // l_period + 1):
-        # y_last correction covers feedforward polynomials of degree < nu
-        z = k * z_core + 2 + (k - 2) * y_last
-        key = (2, z)
-        terms[key] = terms.get(key, 0) + (n - k * l_period)
-    return Cwef(2, n, terms)
 
 
 def cwef_w2_punctured(code: RscCode, p_u, p_z, n: int,

@@ -8,6 +8,7 @@ if it ends the block in the zero state, with no tail appended.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -307,9 +308,11 @@ def run_verification(cases=None, jobs: int = 1,
                      brute_limit: int = BRUTE_FORCE_LIMIT) -> VerificationReport:
     if cases is None:
         cases = default_verification_grid()
-    if jobs > 1:
+    # a pool starts all its workers at once; past the CPUs they only wait
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = tuple(pool.map(partial(run_case, brute_limit=brute_limit),
                                      cases, chunksize=16))
     else:

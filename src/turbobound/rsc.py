@@ -87,17 +87,6 @@ def step(code: RscCode, state: int, bit: int) -> tuple[int, int, int]:
     return (a << (nu - 1)) | (state >> 1), bit, par
 
 
-def encode(code: RscCode, bits) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Encode an input block from the all-zero state, no termination tail."""
-    state = 0
-    sys_out, par_out = [], []
-    for b in bits:
-        state, s, p = step(code, state, b)
-        sys_out.append(s)
-        par_out.append(p)
-    return tuple(sys_out), tuple(par_out)
-
-
 def weight2_parity_response(code: RscCode) -> tuple[int, ...]:
     """Parity bits y_1..y_L of the L zero-input steps after a single 1 input.
 
@@ -106,10 +95,3 @@ def weight2_parity_response(code: RscCode) -> tuple[int, ...]:
     feedforward polynomial has full degree nu.  Computed once per code.
     """
     return code.impulse_parity[1:]
-
-
-def core_weight(code: RscCode) -> int:
-    """Parity weight of the open weight-2 excursion, diverge and remerge
-    transitions excluded: sum of y_1..y_{L-1}.  Equals 2^(nu-1) for a
-    primitive feedback polynomial with G_F != G_R."""
-    return sum(weight2_parity_response(code)[:-1])

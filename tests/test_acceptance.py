@@ -20,7 +20,7 @@ from turbobound.pccc import (PcccConfig, p2_approximation, p2_slice,
                              q_function, truncated_union_bound)
 from turbobound.puncture import (PcccPunctureSet, pseudo_random_pattern,
                                  punctured_core_weights)
-from turbobound.rsc import RscCode, core_weight
+from turbobound.rsc import RscCode
 
 CODE_15_17 = RscCode.from_octals("15", "17")
 CODE_7_5 = RscCode.from_octals("7", "5")
@@ -102,7 +102,7 @@ def test_criterion_2_closed_form_distances():
                 if gf == gr:
                     continue
                 code = RscCode(gr, gf)
-                ok = ok and core_weight(code) == 1 << (nu - 1)
+                ok = ok and punctured_core_weights(code, (1,)) == [1 << (nu - 1)]
     report(2, ok, time.perf_counter() - t0, 1.0,
            "d_free_eff 10/6/5 and core weight 2^(nu-1) across nu=2..6")
 

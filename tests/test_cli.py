@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import turbobound.cwef as cwef
 import turbobound.oracle as oracle
 import turbobound.pccc as pccc
 import turbobound.puncture as puncture
-from turbobound.cli import argv_from_metadata, entrypoint
+from turbobound.cli import entrypoint
 from turbobound.cwef import cwef_w2_punctured, min_weights
 from turbobound.oracle import GRID_CODES, CaseResult, GridCase, VerificationReport
 from turbobound.pccc import (PcccConfig, d_free_eff, free_effective_distance,
@@ -25,6 +26,31 @@ from turbobound.puncture import (Classification, PcccPunctureSet, classify,
                                  probe_length, row_from_string,
                                  row_to_string)
 from turbobound.rsc import RscCode
+
+
+# metadata keys that map straight back onto command-line flags
+_METADATA_FLAGS = ("gr1", "gf1", "gr2", "gf2", "sys", "par1", "par2",
+                   "n", "snr", "wmax", "dmax", "rate", "period", "top")
+
+
+def argv_from_metadata(text: str) -> list[str]:
+    """Rebuild an equivalent command line from a report header."""
+    sub = None
+    flags: list[str] = []
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            break
+        body = line[1:].strip()
+        if "=" not in body:
+            continue
+        key, _, value = (part.strip() for part in body.partition("="))
+        if key == "subcommand":
+            sub = value
+        elif key in _METADATA_FLAGS:
+            flags += [f"--{key}", value]
+    if sub is None:
+        raise ValueError("no subcommand recorded in the metadata header")
+    return [sub] + flags
 
 
 def run(capsys, *argv):
@@ -606,22 +632,37 @@ def test_commands_without_the_dp_leave_numpy_unloaded(argv):
 
 
 def test_catastrophic_bound_warning_location_on_stderr():
-    # stderr is part of a report's bytes: the catastrophic-puncturing
-    # warning names the line of cmd_bound that calls
-    # free_effective_distance, and that line has been 213 since it was
-    # written; moving it changes every catastrophic run's stderr
+    # stderr is part of a run's bytes: each warning is one line in the
+    # form of an error line, with no source path or line number, so that
+    # moving code does not change it
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    done = subprocess.run(
-        [sys.executable, "-m", "turbobound", "bound", "--gr1", "15", "--gf1", "17",
-         "--sys", "0000000", "--par1", "0000010", "--par2", "1111111",
-         "--n", "50", "--wmax", "2"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src})
-    assert done.returncode == 0
-    assert done.stderr == (
-        f"{cli.__file__}:213: UserWarning: catastrophic puncturing: weight-2 "
-        "event with zero transmitted weight\n"
-        "  dfree = free_effective_distance(config)\n")
+    for argv, warning in (
+            (["bound", "--gr1", "15", "--gf1", "17", "--sys", "0000000",
+              "--par1", "0000010", "--par2", "1111111", "--n", "50",
+              "--wmax", "2"],
+             "catastrophic puncturing: weight-2 event with zero transmitted weight"),
+            (["patterns", "--gr1", "17", "--gf1", "17"],
+             "feedback equals feedforward: parity reduces to the input")):
+        done = subprocess.run(
+            [sys.executable, "-m", "turbobound", *argv],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0
+        assert done.stderr == f"turbobound: warning: {warning}\n"
+
+
+def test_warnings_come_before_the_error_line(capsys):
+    # the DP refusal of a vacuous --dmax follows the catastrophic warning
+    code, out, err = run(capsys, "bound", "--gr1", "15", "--gf1", "17",
+                         "--sys", "0000000", "--par1", "0000010",
+                         "--par2", "1111111", "--n", "100", "--wmax", "3",
+                         "--dmax", "1")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "turbobound: warning: catastrophic puncturing: weight-2 event with "
+        "zero transmitted weight",
+        "turbobound: error: d_max=1 is below the smallest weight-2 distance; "
+        "the bound would be vacuous"]
 
 
 def test_search_ranks_no_catastrophic_pattern(tmp_path, capsys):
@@ -702,6 +743,64 @@ def test_verify_fail_exit_3(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 3
     assert "FAIL" in out and "# result = FAIL (0/1)" in out
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """ProcessPoolExecutor replaced by a fake that runs serially, on a
+    machine of 3 CPUs; the list holds the max_workers of each pool."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["bound", "--gr1", "15", "--gf1", "17", "--n", "100", "--wmax", "2"],
+    ["search", "--gr1", "15", "--gf1", "17", "--rate", "1/2", "--period", "2"],
+    ["verify"],
+])
+def test_jobs_below_one_refused(capsys, pools, argv, jobs):
+    assert run(capsys, *argv, "--jobs", jobs) == (
+        2, "", "turbobound: error: --jobs must be at least 1\n")
+    assert pools == []
+
+
+def test_search_workers_capped_at_cpu_count(monkeypatch, capsys, pools):
+    argv = ("search", "--gr1", "7", "--gf1", "5", "--rate", "1/2",
+            "--period", "3", "--n", "120", "--top", "10")
+    want = run(capsys, *argv)
+    assert want[0] == 0 and pools == []
+    # screening and tie-break each start one pool of the 3 CPUs
+    assert run(capsys, *argv, "--jobs", "64") == want
+    assert pools == [3, 3]
+    # an unknown CPU count means one CPU: no pool at all
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run(capsys, *argv, "--jobs", "64") == want
+    assert pools == [3, 3]
+
+
+def test_verify_workers_capped_at_cpu_count(pools):
+    cases = oracle.default_verification_grid()[:4]
+    want = oracle.run_verification(cases).summary()
+    assert oracle.run_verification(cases, jobs=1000).summary() == want
+    assert pools == [3]
 
 
 def test_parse_snr_grid():

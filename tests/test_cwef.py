@@ -6,11 +6,39 @@ import pytest
 
 import turbobound.rsc as rsc
 
-from turbobound.cwef import (Cwef, cwef_w2_punctured, cwef_w2_unpunctured,
-                             group_multiplicity, min_weights, path_weights)
+from turbobound.cwef import Cwef, cwef_w2_punctured, min_weights, path_weights
 from turbobound.oracle import brute_force_cwef, exact_cwef_dp
 from turbobound.puncture import pseudo_random_pattern, row_from_string
-from turbobound.rsc import RscCode
+from turbobound.rsc import RscCode, weight2_parity_response
+
+
+# The unpunctured closed form and the path count of Benedetto & Montorsi,
+# "Unveiling turbo codes", IEEE Trans. IT 1996: references for the
+# punctured enumerator, which no command needs on its own.
+
+def group_multiplicity(n: int, k: int, l_period: int, m_period: int, m: int) -> int:
+    """Number of weight-2 paths of span k*l_period + 1 that start in
+    pattern column m within a block of n steps."""
+    if k < 1 or not 1 <= m <= m_period:
+        raise ValueError("need k >= 1 and 1 <= m <= m_period")
+    if n <= k * l_period:
+        return 0
+    q, r = divmod(n - k * l_period, m_period)
+    return q + 1 if m <= r else q
+
+
+def cwef_w2_unpunctured(code: RscCode, n: int) -> Cwef:
+    """Weight-2 enumerator of the parent rate-1/2 code: one term per
+    span, z(k) = k*z_core + 2 when G_F has full degree, with multiplicity
+    n - kL; empty when no span fits."""
+    y = weight2_parity_response(code)
+    z_core, y_last = sum(y[:-1]), y[-1]
+    terms: dict[tuple[int, int], int] = {}
+    for k in range(1, (n - 1) // code.period + 1):
+        # y_last corrects for feedforward polynomials of degree < nu
+        z = k * z_core + 2 + (k - 2) * y_last
+        terms[2, z] = terms.get((2, z), 0) + n - k * code.period
+    return Cwef(2, n, terms)
 
 CODE_15_17 = RscCode.from_octals("15", "17")
 CODE_7_5 = RscCode.from_octals("7", "5")
@@ -86,10 +114,8 @@ def test_unpunctured_goldens():
 
 
 def test_unpunctured_short_block_warns():
+    assert cwef_w2_unpunctured(CODE_15_17, 7).terms == {}
     with pytest.warns(UserWarning, match="no weight-2 path"):
-        c = cwef_w2_unpunctured(CODE_15_17, 7)
-    assert c.terms == {}
-    with pytest.warns(UserWarning):
         assert cwef_w2_punctured(CODE_15_17, (1,), (1,), 7).terms == {}
 
 

@@ -8,7 +8,6 @@ The DP, which shifts flat numpy rows, is checked against a plain dict
 pass over the same trellis, truncation flag and path total included.
 """
 
-from functools import reduce
 from itertools import combinations
 from math import lcm
 
@@ -19,7 +18,7 @@ from turbobound.cwef import cwef_w2_punctured, min_weights, path_weights
 from turbobound.gf2 import BinaryPolynomial
 from turbobound.oracle import brute_force_cwef, exact_cwef_dp
 from turbobound.puncture import Classification, classify, probe_length
-from turbobound.rsc import RscCode, encode, step
+from turbobound.rsc import RscCode, step
 
 
 @st.composite
@@ -97,13 +96,13 @@ def encoded_tally(code, p_u, p_z, n, w):
     # one full encoder run per input, with no appeal to linearity
     terms = {}
     for ones in combinations(range(n), w):
-        bits = [int(i in ones) for i in range(n)]
-        if reduce(lambda s, b: step(code, s, b)[0], bits, 0):
-            continue
-        sys_out, par_out = encode(code, bits)
-        u = sum(b & p_u[i % len(p_u)] for i, b in enumerate(sys_out))
-        z = sum(b & p_z[i % len(p_z)] for i, b in enumerate(par_out))
-        terms[u, z] = terms.get((u, z), 0) + 1
+        state = u = z = 0
+        for i in range(n):
+            state, s, p = step(code, state, int(i in ones))
+            u += s & p_u[i % len(p_u)]
+            z += p & p_z[i % len(p_z)]
+        if not state:
+            terms[u, z] = terms.get((u, z), 0) + 1
     return terms
 
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from turbobound.rsc import (RscCode, core_weight, encode, step,
-                            weight2_parity_response)
+from turbobound.rsc import RscCode, step, weight2_parity_response
 
 
 def walk(code, state, bits):
@@ -12,6 +11,23 @@ def walk(code, state, bits):
         state, _, p = step(code, state, b)
         out.append((state, p))
     return out
+
+
+def encode(code, bits):
+    """Systematic and parity outputs of a block encoded from the zero
+    state, with no termination tail."""
+    state, sys_out, par_out = 0, [], []
+    for b in bits:
+        state, s, p = step(code, state, b)
+        sys_out.append(s)
+        par_out.append(p)
+    return tuple(sys_out), tuple(par_out)
+
+
+def core_weight(code):
+    """Parity weight of the open weight-2 excursion, diverge and remerge
+    transitions excluded: the sum of y_1..y_{L-1}."""
+    return sum(weight2_parity_response(code)[:-1])
 
 
 def test_construction_rejects():
