@@ -24,7 +24,7 @@ from math import comb
 
 from . import __version__
 from .cwef import cwef_w2_punctured, weight2_minima
-from .oracle import run_verification
+from .oracle import DP_D_LIMIT, DP_W_LIMIT, run_verification
 from .pccc import (DEFAULT_D_MAX, DEFAULT_W_MAX, PcccConfig, d_free_eff,
                    distance_spectrum, free_effective_distance,
                    p2_approximation, q_horizon, truncated_union_bound,
@@ -189,10 +189,10 @@ def cmd_bound(args) -> int:
     codes = code1, code2 = _codes(args)
     pset = _resolve_rows(args, code1)
     _check_block(args.n, code1, code2)
-    if not 2 <= args.wmax <= 6:
-        raise ValueError("--wmax must lie in [2, 6]")
-    if not 1 <= args.dmax <= 512:
-        raise ValueError("--dmax must lie in [1, 512]")
+    if not 2 <= args.wmax <= DP_W_LIMIT:
+        raise ValueError(f"--wmax must lie in [2, {DP_W_LIMIT}]")
+    if not 1 <= args.dmax <= DP_D_LIMIT:
+        raise ValueError(f"--dmax must lie in [1, {DP_D_LIMIT}]")
     grid = _parse_snr(args.snr)
     config = PcccConfig(code1, code2, pset, args.n)
     dfree = free_effective_distance(config)
@@ -330,8 +330,7 @@ def cmd_search(args) -> int:
     jobs = min(args.jobs, os.cpu_count() or 1)
     kept, rem = divmod(m * rate.denominator, rate.numerator)
     if rem or not m <= kept <= 3 * m:
-        print(f"no pattern of period {m} meets rate {rate}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no pattern of period {m} meets rate {rate}")
     count = comb(3 * m, kept)
     if count > SEARCH_CANDIDATE_LIMIT:
         raise ValueError(
@@ -367,9 +366,7 @@ def cmd_search(args) -> int:
     dfree = [d_free_eff(m1, m2) for _, m1, m2 in triples()]
     feasible = sum(d > 0 for d in dfree)
     if not feasible:
-        print(f"no non-catastrophic pattern of period {m} at rate {rate}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"no non-catastrophic pattern of period {m} at rate {rate}")
 
     # P(2) is only needed for distance classes that can reach the top-K cut
     threshold = nlargest(min(args.top, feasible), dfree)[-1]

@@ -55,8 +55,11 @@ def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
     forward pass over the punctured trellis.
 
     With d_max set, paths whose transmitted weight u + z exceeds it are
-    dropped and the result is flagged truncated; counts for u + z <= d_max
-    stay exact because transmitted weight never decreases along a path.
+    dropped; counts for u + z <= d_max stay exact because transmitted
+    weight never decreases along a path.  `truncated` is True exactly
+    when some input of weight <= w_max has a prefix whose punctured
+    u + z exceeds d_max, whether or not that path would remerge; an
+    uncapped pass is never truncated.
     """
     import numpy as np  # here, so that only the commands that run the DP load it
     p_u, p_z = as_row(p_u), as_row(p_z)
@@ -92,33 +95,31 @@ def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
     bufs = np.zeros((2, n_states, span), dtype=np.int64)
     bufs[0, 0, 0] = 1
     # per (p_u bit, p_z bit, buffer order): the destination and source
-    # views, source state and d increment of every transition; the
-    # offset of a 1 input spans a whole w row, so the source slice stops
-    # before row w_max and no path gains weight beyond w_max
+    # views of every transition; the offset of a 1 input spans a whole
+    # w row, so the source slice stops before row w_max and no path
+    # gains weight beyond w_max
     moves = {key: [] for key in product((0, 1), repeat=3)}
     for s, b in product(range(n_states), (0, 1)):
         t, _, parity = step(code, s, b)
         for pu_i, pz_i, flip in moves:
             du = b & pu_i
-            dd = du + (parity & pz_i)
-            off = (b * size_u + du) * size_d + dd
+            off = (b * size_u + du) * size_d + du + (parity & pz_i)
             moves[pu_i, pz_i, flip].append(
-                (bufs[1 - flip, t, off:], bufs[flip, s, :span - off], s, dd))
+                (bufs[1 - flip, t, off:], bufs[flip, s, :span - off]))
     truncated = False
     mu, mz = len(p_u), len(p_z)
     for i in range(n):
-        cur, new = bufs[i & 1], bufs[1 - (i & 1)]
-        transitions = moves[p_u[i % mu], p_z[i % mz], i & 1]
-        # d = u + z <= w_max + i after i steps: no path nears the cap sooner
-        if not truncated and i + w_max >= d_cap - 1:
-            top = cur.reshape(n_states, -1, size_d)[:, :, d_cap - 1:d_cap + 1]
-            # per state: is there mass that a d increment of 1 or 2 pushes out
-            spills = (None, top[:, :, 1].any(axis=1), top.any(axis=(1, 2)))
-            truncated = any(dd and spills[dd][s] for *_, s, dd in transitions)
+        new = bufs[1 - (i & 1)]
         new.fill(0)
-        for dst, src, _, _ in transitions:
+        for dst, src in moves[p_u[i % mu], p_z[i % mz], i & 1]:
             dst += src
-        new.reshape(n_states, -1, size_d)[:, :, d_cap + 1:] = 0
+        # every path had d <= d_cap and a step adds at most 2, so the
+        # spare cells hold exactly the mass pushed past the cap; d <=
+        # w_max + i before step i, so none can get there sooner
+        spare = new.reshape(n_states, -1, size_d)[:, :, d_cap + 1:]
+        if not truncated and i + w_max >= d_cap - 1:
+            truncated = bool(spare.any())
+        spare[...] = 0
     final = bufs[n & 1, 0].reshape(size_u, size_u, size_d)
     by_weight = {w: Cwef(w, n, {(int(u), int(d - u)): int(final[w, u, d])
                                 for u, d in zip(*np.nonzero(final[w]))})

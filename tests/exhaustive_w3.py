@@ -2,7 +2,8 @@
 
 For every case of the verification grid, the weight-3 enumerator of
 exact_cwef_dp must equal the one brute_force_cwef builds by encoding
-every weight-3 input.  The grid's largest block, n = 200, has
+every weight-3 input, and the pass, which has no distance cap, must not
+report itself truncated.  The grid's largest block, n = 200, has
 C(200, 3) = 1,313,400 such inputs, so the full grid takes minutes.  The
 file name does not match test_*.py, so pytest does not collect it.
 
@@ -27,11 +28,17 @@ def main() -> int:
     for case in cases:
         code = RscCode.from_octals(case.feedback, case.feedforward)
         p_u, p_z = row_from_string(case.p_u), row_from_string(case.p_z)
-        dp = exact_cwef_dp(code, p_u, p_z, case.n, w_max=3).for_weight(3)
-        mismatch = diff_cwefs(dp, brute_force_cwef(code, p_u, p_z, case.n, 3))
+        res = exact_cwef_dp(code, p_u, p_z, case.n, w_max=3)
+        problems = []
+        mismatch = diff_cwefs(res.for_weight(3),
+                              brute_force_cwef(code, p_u, p_z, case.n, 3))
         if mismatch:
+            problems.append(mismatch)
+        if res.truncated:
+            problems.append("the uncapped pass reports truncated")
+        if problems:
             failed += 1
-            print(f"FAIL {case.label()} :: {mismatch}", flush=True)
+            print(f"FAIL {case.label()} :: {'; '.join(problems)}", flush=True)
     print(f"# w = 3, trellis DP vs brute force: {len(cases) - failed}/"
           f"{len(cases)} cases agree ({time.perf_counter() - start:.0f} s)")
     return 1 if failed else 0

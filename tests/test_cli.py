@@ -692,11 +692,17 @@ def test_search_infeasible_rate(capsys):
     code, _, err = run(capsys, "search", "--gr1", "15", "--gf1", "17",
                        "--rate", "3/7", "--period", "2")
     assert code == 2
-    assert "no pattern of period 2 meets rate 3/7" in err
+    assert err == "turbobound: error: no pattern of period 2 meets rate 3/7\n"
     # rate below 1/3 would need more than 3 kept bits per column
     code, _, err = run(capsys, "search", "--gr1", "15", "--gf1", "17",
                        "--rate", "1/4", "--period", "2")
     assert code == 2
+    # 1+D with feedforward 1: every row triple at rate 2/3 is catastrophic
+    code, _, err = run(capsys, "search", "--gr1", "3", "--gf1", "1",
+                       "--rate", "2/3", "--period", "2")
+    assert code == 2
+    assert err == ("turbobound: error: no non-catastrophic pattern of period 2 "
+                   "at rate 2/3\n")
 
 
 @pytest.mark.parametrize("argv,fragment", [

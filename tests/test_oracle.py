@@ -1,5 +1,6 @@
 """Trellis DP and brute-force oracles, and the cross-check harness."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -9,7 +10,8 @@ from turbobound.cwef import Cwef, cwef_w2_punctured
 from turbobound.oracle import (GridCase, VerificationReport, brute_force_cwef,
                                default_verification_grid, diff_cwefs,
                                exact_cwef_dp, run_case, run_verification)
-from turbobound.rsc import RscCode
+from turbobound.puncture import row_from_string
+from turbobound.rsc import RscCode, step
 
 CODE_15_17 = RscCode.from_octals("15", "17")
 ONES = (1,)
@@ -83,6 +85,54 @@ def test_dp_roomy_cap_not_truncated():
     assert not res.truncated
     assert res.for_weight(2).terms \
         == exact_cwef_dp(CODE_15_17, ONES, ONES, 30, 2).for_weight(2).terms
+
+
+def test_uncapped_grid_passes_never_truncated():
+    # with no cap nothing is dropped, so no pass may say it dropped something
+    flagged = []
+    for case in default_verification_grid():
+        code = RscCode.from_octals(case.feedback, case.feedforward)
+        res = exact_cwef_dp(code, row_from_string(case.p_u),
+                            row_from_string(case.p_z), case.n, 2)
+        if res.truncated:
+            flagged.append(case.label())
+    assert flagged == []
+
+
+def prefix_weight_maxima(code, p_u, p_z, n, w_max):
+    # the largest punctured u + z of any input of weight exactly w, for
+    # each w <= w_max; weight never decreases along an input, so its
+    # largest prefix weight is its full-block weight
+    best = []
+    for w in range(w_max + 1):
+        top = 0
+        for ones in combinations(range(n), w):
+            state = d = 0
+            for i in range(n):
+                state, s, p = step(code, state, int(i in ones))
+                d += (s & p_u[i % len(p_u)]) + (p & p_z[i % len(p_z)])
+            top = max(top, d)
+        best.append(top)
+    return best
+
+
+@pytest.mark.parametrize("rows", [("1", "1"), ("11", "10"), ("0010", "1101")],
+                         ids=":".join)
+@pytest.mark.parametrize("octals", oracle.GRID_CODES, ids="/".join)
+def test_truncated_matches_brute_force(octals, rows):
+    # truncated exactly when some input of weight <= w_max has a prefix
+    # whose punctured u + z exceeds d_max; checked at the caps around
+    # that largest weight, where the flag turns over
+    code = RscCode.from_octals(*octals)
+    p_u, p_z = map(row_from_string, rows)
+    w_top = 4
+    for n in (1, 2, 3, 5, 8, 12):
+        maxima = prefix_weight_maxima(code, p_u, p_z, n, w_top)
+        for w_max in range(1, w_top + 1):
+            worst = max(maxima[:w_max + 1])
+            for d_max in range(max(1, worst - 2), worst + 2):
+                res = exact_cwef_dp(code, p_u, p_z, n, w_max, d_max)
+                assert res.truncated == (worst > d_max), (n, w_max, d_max)
 
 
 def test_brute_force_edges():

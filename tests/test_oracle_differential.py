@@ -114,8 +114,8 @@ def test_superposition_matches_direct_encoding(code, p_u, p_z, n, w):
 
 
 def reference_dp(code, p_u, p_z, n, w_max, d_cap):
-    # one dict entry per (state, w, u, d); a step that would lift d past
-    # the cap marks the pass truncated, whatever the input weight
+    # one dict entry per (state, w, u, d); a step of a path of weight
+    # <= w_max that would lift d past the cap marks the pass truncated
     cur, truncated = {(0, 0, 0, 0): 1}, False
     for i in range(n):
         new = {}
@@ -124,9 +124,11 @@ def reference_dp(code, p_u, p_z, n, w_max, d_cap):
                 t, _, parity = step(code, s, b)
                 du = b & p_u[i % len(p_u)]
                 dd = du + (parity & p_z[i % len(p_z)])
+                if w + b > w_max:
+                    continue
                 if d + dd > d_cap:
                     truncated = True
-                elif w + b <= w_max:
+                else:
                     key = (t, w + b, u + du, d + dd)
                     new[key] = new.get(key, 0) + count
         cur = new
