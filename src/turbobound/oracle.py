@@ -3,7 +3,9 @@ dynamic program over (state, input weight, systematic weight, parity
 weight), and exhaustive enumeration of every weight-w input, each
 codeword built as the XOR of shifted impulse responses.  Both follow
 the terminated-path convention of the closed forms: a path counts only
-if it ends the block in the zero state, with no tail appended.
+if it ends the block in the zero state, with no tail appended.  A
+min-weight pass over the same trellis bounds how long an error event
+of bounded weight can be.
 """
 
 from __future__ import annotations
@@ -11,16 +13,16 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import combinations, product, starmap
-from math import comb
+from math import comb, gcd, lcm
 from operator import xor
 
 from .cwef import Cwef, cwef_w2_punctured, path_weights
 from .gf2 import is_primitive
-from .puncture import (Classification, as_row, classify, pseudo_random_pattern,
-                       row_from_string, row_to_string)
+from .puncture import (Classification, as_row, classify, extend_row,
+                       pseudo_random_pattern, row_from_string, row_to_string)
 from .rsc import RscCode, step
 
 BRUTE_FORCE_LIMIT = 10**7
@@ -42,6 +44,8 @@ class DpResult:
     # prefix-path mass over every state at the final step; with no cap
     # this equals sum_{w <= w_max} C(n, w)
     total_paths: int
+    # {step i: by_weight of block length i} for each step the pass kept
+    kept: dict[int, dict[int, Cwef]] = field(default_factory=dict)
 
     def for_weight(self, w: int) -> Cwef:
         if w not in self.by_weight:
@@ -49,20 +53,9 @@ class DpResult:
         return self.by_weight[w]
 
 
-def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
-                  d_max: int | None = None, include_w0: bool = False) -> DpResult:
-    """Enumerate {(u, z): count} for every input weight up to w_max by a
-    forward pass over the punctured trellis.
-
-    With d_max set, paths whose transmitted weight u + z exceeds it are
-    dropped; counts for u + z <= d_max stay exact because transmitted
-    weight never decreases along a path.  `truncated` is True exactly
-    when some input of weight <= w_max has a prefix whose punctured
-    u + z exceeds d_max, whether or not that path would remerge; an
-    uncapped pass is never truncated.
-    """
-    import numpy as np  # here, so that only the commands that run the DP load it
-    p_u, p_z = as_row(p_u), as_row(p_z)
+def check_dp_limits(code: RscCode, n: int, w_max: int, d_max: int | None) -> int:
+    """Refuse, with ValueError, a trellis pass of n steps that could not
+    be made or counted; otherwise return its d cap."""
     if n < 1:
         raise ValueError("block length must be positive")
     if not 1 <= w_max <= DP_W_LIMIT:
@@ -79,19 +72,40 @@ def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
         d_cap = d_max
     if sum(comb(n, w) for w in range(w_max + 1)) >= 2**62:
         raise ValueError("path counts would overflow 64-bit accumulation")
+    # two int64 rows per state, and 16 transitions per state: two inputs
+    # times the 8 (p_u bit, p_z bit, buffer order) keys of the pass
+    need = code.n_states * (2 * 8 * (w_max + 1)**2 * (d_cap + 3) + 16 * _DP_VIEW_BYTES)
+    if need > DP_MEMORY_LIMIT:
+        raise ValueError(
+            f"the trellis pass over {code.n_states} states would need about "
+            f"{need >> 20} MiB, over its {DP_MEMORY_LIMIT >> 20} MiB limit")
+    return d_cap
+
+
+def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
+                  d_max: int | None = None, include_w0: bool = False, *,
+                  keep=()) -> DpResult:
+    """Enumerate {(u, z): count} for every input weight up to w_max by a
+    forward pass over the punctured trellis.
+
+    With d_max set, paths whose transmitted weight u + z exceeds it are
+    dropped; counts for u + z <= d_max stay exact because transmitted
+    weight never decreases along a path.  `truncated` is True exactly
+    when some input of weight <= w_max has a prefix whose punctured
+    u + z exceeds d_max, whether or not that path would remerge; an
+    uncapped pass is never truncated.  The zero-state row after i steps
+    is the enumerator of block length i, so for each step i in keep
+    the same pass also returns that enumerator, in `kept`.
+    """
+    import numpy as np  # here, so that only the commands that run the DP load it
+    p_u, p_z = as_row(p_u), as_row(p_z)
+    d_cap = check_dp_limits(code, n, w_max, d_max)
     n_states = code.n_states
     # one flat row per state over (w, u, d = u + z), so that a transition
     # adds one contiguous slice at one offset; two spare d cells take
     # what a step pushes past the cap and are cleared every step
     size_u, size_d = w_max + 1, d_cap + 3
     span = size_u * size_u * size_d
-    # two int64 rows per state, and 16 transitions per state: two inputs
-    # times the 8 (p_u bit, p_z bit, buffer order) keys of moves below
-    need = n_states * (2 * 8 * span + 16 * _DP_VIEW_BYTES)
-    if need > DP_MEMORY_LIMIT:
-        raise ValueError(
-            f"the trellis pass over {n_states} states would need about "
-            f"{need >> 20} MiB, over its {DP_MEMORY_LIMIT >> 20} MiB limit")
     bufs = np.zeros((2, n_states, span), dtype=np.int64)
     bufs[0, 0, 0] = 1
     # per (p_u bit, p_z bit, buffer order): the destination and source
@@ -108,6 +122,7 @@ def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
                 (bufs[1 - flip, t, off:], bufs[flip, s, :span - off]))
     truncated = False
     mu, mz = len(p_u), len(p_z)
+    keep, kept_rows = set(keep), {}
     for i in range(n):
         new = bufs[1 - (i & 1)]
         new.fill(0)
@@ -120,11 +135,105 @@ def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
         if not truncated and i + w_max >= d_cap - 1:
             truncated = bool(spare.any())
         spare[...] = 0
-    final = bufs[n & 1, 0].reshape(size_u, size_u, size_d)
-    by_weight = {w: Cwef(w, n, {(int(u), int(d - u)): int(final[w, u, d])
-                                for u, d in zip(*np.nonzero(final[w]))})
-                 for w in range(0 if include_w0 else 1, w_max + 1)}
-    return DpResult(by_weight, truncated, int(bufs[n & 1].sum()))
+        if i + 1 in keep:
+            kept_rows[i + 1] = new[0].copy()
+
+    def by_weight(row, length):
+        cells = row.reshape(size_u, size_u, size_d)
+        return {w: Cwef(w, length, {(int(u), int(d - u)): int(cells[w, u, d])
+                                    for u, d in zip(*np.nonzero(cells[w]))})
+                for w in range(0 if include_w0 else 1, w_max + 1)}
+
+    return DpResult(by_weight(bufs[n & 1, 0], n), truncated, int(bufs[n & 1].sum()),
+                    {i: by_weight(row, i) for i, row in kept_rows.items()})
+
+
+def _zero_weight_cycle(code: RscCode, p_z) -> bool:
+    """Whether some zero-input cycle through the (state != 0, column)
+    pairs transmits no parity bit.
+
+    Zero input walks each nonzero state round its orbit, of some length
+    t, while the column walks round the row, of length M.  The cycle
+    from orbit position a0 and column c0 visits exactly the pairs with
+    a - c = a0 - c0 mod gcd(t, M), so it transmits nothing when no
+    position with a parity bit and kept column differ by that residue.
+    """
+    zero_input = [step(code, s, 0) for s in range(code.n_states)]
+    kept = [c for c, bit in enumerate(p_z) if bit]
+    seen = {0}
+    for s0 in range(1, code.n_states):
+        if s0 in seen:
+            continue
+        ones, s, t = [], s0, 0
+        while t == 0 or s != s0:
+            seen.add(s)
+            s, _, parity = zero_input[s]
+            if parity:
+                ones.append(t)
+            t += 1
+        g = gcd(t, len(p_z))
+        if len({(a - c) % g for a in ones for c in kept}) < g:
+            return True
+    return False
+
+
+def event_span_bound(code: RscCode, p_u, p_z, w_max: int, d_max: int,
+                     limit: int | None = None) -> int | None:
+    """An upper bound S on the span, diverging step to remerging step,
+    of every error event of input weight <= w_max whose punctured u + z
+    is at most d_max, from any start column.  None when some zero-input
+    cycle off the zero state transmits nothing, so that no bound need
+    exist, or when S would exceed limit.
+
+    S is the first t at which every t-step path that has stayed off the
+    zero state has transmitted more than d_max: an event of span l has
+    such a prefix of l - 1 steps, which weighs no more than the event.
+    So S is also a length past which a single 1 has pushed a pass over
+    d_max.  One min-weight pass over (input weight, state, column) finds
+    it.  A limit, when given, is at least 1.
+    """
+    import numpy as np
+    p_u, p_z = as_row(p_u), as_row(p_z)
+    if _zero_weight_cycle(code, p_z):
+        return None
+    m_period = lcm(len(p_u), len(p_z))
+    if limit is None:
+        # a path makes at most w_max zero-input runs, and each lcm(L, M)
+        # steps of a run close whole cycles, which weigh at least 1
+        limit = w_max * ((d_max + 2) * lcm(code.period, m_period) + 1)
+    pu, pz = extend_row(p_u, m_period), extend_row(p_z, m_period)
+    n_states = code.n_states
+    # node (w, s, c), flat at ((w - 1) n_states + s) M + c: input weight
+    # w, state s != 0, next step in column c; a last cell holds d_max + 1
+    # and stands in for every predecessor a node lacks
+    size = w_max * n_states * m_period
+    over = d_max + 1
+    pred = np.full((2, size), size, dtype=np.int64)
+    add = np.zeros((2, size), dtype=np.int64)
+    for s, b in product(range(1, n_states), (0, 1)):
+        t, _, parity = step(code, s, b)
+        if t == 0:
+            continue  # remerged: the event is over
+        for w, c in product(range(1, w_max + 1 - b), range(m_period)):
+            at = ((w - 1 + b) * n_states + t) * m_period + (c + 1) % m_period
+            pred[b, at] = ((w - 1) * n_states + s) * m_period + c
+            add[b, at] = b * pu[c] + parity * pz[c]
+    # least u + z over the paths that diverged t steps ago and have not
+    # remerged, from every start column
+    dist = np.full(size + 1, over, dtype=np.int64)
+    first, _, parity = step(code, 0, 1)
+    for c in range(m_period):
+        dist[first * m_period + (c + 1) % m_period] = pu[c] + parity * pz[c]
+    cand = np.empty((2, size), dtype=np.int64)
+    t = 1
+    while dist.min() <= d_max:
+        if t >= limit:
+            return None
+        dist.take(pred, out=cand)
+        cand += add
+        np.minimum(cand[0], cand[1], out=dist[:size])
+        t += 1
+    return t
 
 
 def brute_force_cwef(code: RscCode, p_u, p_z, n: int, w: int) -> Cwef:

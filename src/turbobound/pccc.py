@@ -14,11 +14,11 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import mul
 
 from .cwef import Cwef, cwef_w2_punctured, weight2_minima
-from .oracle import exact_cwef_dp
+from .oracle import check_dp_limits, event_span_bound, exact_cwef_dp
 from .puncture import PcccPunctureSet, code_rate
 from .rsc import RscCode
 
@@ -292,6 +292,54 @@ def p2_approximation(config: PcccConfig, ebn0_db) -> BoundCurve:
     return BoundCurve(_as_points(raw, ebn0_db), label="p2")
 
 
+def constituent_cwefs(code: RscCode, p_u, p_z, n: int, w_max: int,
+                      d_max: int) -> tuple[dict[int, Cwef], bool]:
+    """The enumerators by_weight and the truncated flag of
+    exact_cwef_dp(code, p_u, p_z, n, w_max, d_max), from a pass much
+    shorter than n wherever the event span allows one.
+
+    A terminated path of weight w <= w_max is at most j = w_max // 2
+    error events, each at most S = event_span_bound(...) steps long when
+    its u + z is at most d_max.  Past j S + M steps, M the pattern
+    period, each (w, u, z) count is therefore a sum of event placement
+    counts C(n - l + j, j) over the M residues: on each residue class of
+    n mod M a polynomial in n of degree <= j.  So the pass stops at
+    n0 + j M, with n0 >= j S + M in n's class, keeps the zero-state
+    enumerators at n0, n0 + M, ..., n0 + j M, and reads each count at n
+    off Newton's forward-difference formula in exact ints.  The flag is
+    the one at n: a pass of S steps or more drops the path of a single
+    1, and a pass of n drops every prefix a shorter pass drops.
+    Refusals are those of the pass at n.
+    """
+    check_dp_limits(code, n, w_max, d_max)
+    m_period, j = lcm(len(p_u), len(p_z)), w_max // 2
+    # a span up to this leaves a pass shorter than n
+    limit = (n - (j + 2) * m_period) // j
+    span = event_span_bound(code, p_u, p_z, w_max, d_max, limit) if limit > 0 else None
+    if span is None:
+        res = exact_cwef_dp(code, p_u, p_z, n, w_max, d_max)
+        return res.by_weight, res.truncated
+    n0 = j * span + m_period
+    n0 += (n - n0) % m_period
+    steps = [n0 + i * m_period for i in range(j + 1)]
+    res = exact_cwef_dp(code, p_u, p_z, steps[-1], w_max, d_max, keep=steps[:-1])
+    samples = [res.kept[i] for i in steps[:-1]] + [res.by_weight]
+    # Newton: f(q) = sum_k C(q, k) d^k f(0), where the k-th forward
+    # difference d^k f(0) = sum_i (-1)^(k-i) C(k, i) f(i); gathered into
+    # one integer weight per sample f(i)
+    q = (n - n0) // m_period
+    weights = [sum((-1) ** (k - i) * comb(q, k) * comb(k, i) for k in range(i, j + 1))
+               for i in range(j + 1)]
+    by_weight = {}
+    for w in range(1, w_max + 1):
+        terms: dict[tuple[int, int], int] = {}
+        for weight, sample in zip(weights, samples):
+            for key, c in sample[w].terms.items():
+                terms[key] = terms.get(key, 0) + weight * c
+        by_weight[w] = Cwef(w, n, {key: c for key, c in terms.items() if c})
+    return by_weight, res.truncated
+
+
 @dataclass(frozen=True)
 class TruncatedBound:
     curve: BoundCurve
@@ -304,8 +352,9 @@ def truncated_union_bound(config: PcccConfig, w_max: int = DEFAULT_W_MAX,
                           d_max: int = DEFAULT_D_MAX, ebn0_db=()) -> TruncatedBound:
     """Union bound over input weights 2..w_max, distances capped at d_max.
 
-    Constituent enumerators come from the exact trellis pass, so every
-    retained term is exact; dropped mass is reported via the flag.
+    Constituent enumerators come from the exact trellis pass, read at n
+    by constituent_cwefs, so every retained term is exact; dropped mass
+    is reported via the flag.
     """
     ebn0_db = tuple(float(db) for db in ebn0_db)
     if not ebn0_db:
@@ -321,12 +370,12 @@ def truncated_union_bound(config: PcccConfig, w_max: int = DEFAULT_W_MAX,
         raise ValueError(
             f"d_max={d_max} is below the smallest weight-2 distance; "
             "the bound would be vacuous")
-    r1, r2 = (exact_cwef_dp(*c, config.n, w_max, d_max)
-              for c in config.constituents())
-    truncated = r1.truncated or r2.truncated
+    (e1, t1), (e2, t2) = (constituent_cwefs(*c, config.n, w_max, d_max)
+                          for c in config.constituents())
+    truncated = t1 or t2
     per_weight: dict[int, tuple[float, ...]] = {}
     for w in range(2, w_max + 1):
-        sl = distance_spectrum(r1.for_weight(w), r2.for_weight(w), config.n, w)
+        sl = distance_spectrum(e1[w], e2[w], config.n, w)
         kept = {d: c for d, c in sl.coeffs.items() if d <= d_max}
         if len(kept) < len(sl.coeffs):
             truncated = True

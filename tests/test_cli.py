@@ -204,6 +204,23 @@ def test_bound_refuses_before_building_at_n(monkeypatch, capsys):
     assert [args[3] for args in calls] == [61, 61, 61, 61]
 
 
+def test_bound_reads_a_large_n_off_a_short_pass(monkeypatch, capsys):
+    # the certified event span stops each constituent's trellis pass far
+    # short of n; the passes to n = 10^6 took about 150 s
+    lengths = []
+    real = pccc.exact_cwef_dp
+
+    def recorded(code, p_u, p_z, n, *args, **kwargs):
+        lengths.append(n)
+        return real(code, p_u, p_z, n, *args, **kwargs)
+
+    monkeypatch.setattr(pccc, "exact_cwef_dp", recorded)
+    code, out, _ = run(capsys, "bound", "--gr1", "23", "--gf1", "35",
+                       "--pseudo", "A", "--n", "1000000", "--wmax", "3")
+    assert code == 0 and "# terms_dropped = 1" in out
+    assert len(lengths) == 2 and max(lengths) < 1000
+
+
 def test_bound_refuses_vacuous_dmax_before_the_dp(monkeypatch, capsys):
     def no_dp(*_):
         raise AssertionError("trellis DP ran before the vacuity refusal")
