@@ -35,6 +35,14 @@ DP_UNCAPPED_N_LIMIT = 2048
 DP_MEMORY_LIMIT = 1 << 28
 # one transition's destination and source views plus their tuple
 _DP_VIEW_BYTES = 320
+# event_span_bound's bytes per node: two int64 each in pred, add and
+# cand, one in dist
+_SPAN_NODE_BYTES = 56
+# step costs in ns, measured on a 2-CPU Xeon with Python 3.11: a
+# trellis step pays per transition and per cell a transition adds, a
+# certificate step once and per node it gathers
+_DP_TRANSITION_NS, _DP_CELL_NS = 1100, 0.54
+_SPAN_STEP_NS, _SPAN_NODE_NS = 5000, 5.6
 
 
 @dataclass(frozen=True)
@@ -44,8 +52,9 @@ class DpResult:
     # prefix-path mass over every state at the final step; with no cap
     # this equals sum_{w <= w_max} C(n, w)
     total_paths: int
-    # {step i: by_weight of block length i} for each step the pass kept
-    kept: dict[int, dict[int, Cwef]] = field(default_factory=dict)
+    # {step i: the zero-state cells (w, u, d = u + z) after i steps} for
+    # each step the pass kept; cwefs_from_cells reads them
+    kept: dict = field(default_factory=dict)
 
     def for_weight(self, w: int) -> Cwef:
         if w not in self.by_weight:
@@ -72,14 +81,30 @@ def check_dp_limits(code: RscCode, n: int, w_max: int, d_max: int | None) -> int
         d_cap = d_max
     if sum(comb(n, w) for w in range(w_max + 1)) >= 2**62:
         raise ValueError("path counts would overflow 64-bit accumulation")
-    # two int64 rows per state, and 16 transitions per state: two inputs
-    # times the 8 (p_u bit, p_z bit, buffer order) keys of the pass
-    need = code.n_states * (2 * 8 * (w_max + 1)**2 * (d_cap + 3) + 16 * _DP_VIEW_BYTES)
+    need = _dp_bytes(code, w_max, d_cap)
     if need > DP_MEMORY_LIMIT:
         raise ValueError(
             f"the trellis pass over {code.n_states} states would need about "
             f"{need >> 20} MiB, over its {DP_MEMORY_LIMIT >> 20} MiB limit")
     return d_cap
+
+
+def _dp_bytes(code: RscCode, w_max: int, d_cap: int) -> int:
+    # two int64 rows per state, and 16 transitions per state: two inputs
+    # times the 8 (p_u bit, p_z bit, buffer order) keys of the pass
+    return code.n_states * (2 * 8 * (w_max + 1)**2 * (d_cap + 3) + 16 * _DP_VIEW_BYTES)
+
+
+def span_step_cost(code: RscCode, w_max: int, d_cap: int, m_period: int) -> float | None:
+    """What a step of event_span_bound costs, in steps of the trellis
+    pass with d cap d_cap, or None when the certificate would hold more
+    memory than that pass."""
+    nodes = w_max * code.n_states * m_period
+    if nodes * _SPAN_NODE_BYTES > _dp_bytes(code, w_max, d_cap):
+        return None
+    cells = (w_max + 1)**2 * (d_cap + 3)
+    dp_ns = 2 * code.n_states * (_DP_TRANSITION_NS + _DP_CELL_NS * cells)
+    return (_SPAN_STEP_NS + _SPAN_NODE_NS * nodes) / dp_ns
 
 
 def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
@@ -95,7 +120,7 @@ def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
     u + z exceeds d_max, whether or not that path would remerge; an
     uncapped pass is never truncated.  The zero-state row after i steps
     is the enumerator of block length i, so for each step i in keep
-    the same pass also returns that enumerator, in `kept`.
+    the same pass also returns those cells, in `kept`.
     """
     import numpy as np  # here, so that only the commands that run the DP load it
     p_u, p_z = as_row(p_u), as_row(p_z)
@@ -122,7 +147,7 @@ def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
                 (bufs[1 - flip, t, off:], bufs[flip, s, :span - off]))
     truncated = False
     mu, mz = len(p_u), len(p_z)
-    keep, kept_rows = set(keep), {}
+    keep, kept = set(keep), {}
     for i in range(n):
         new = bufs[1 - (i & 1)]
         new.fill(0)
@@ -136,16 +161,22 @@ def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
             truncated = bool(spare.any())
         spare[...] = 0
         if i + 1 in keep:
-            kept_rows[i + 1] = new[0].copy()
+            kept[i + 1] = new[0].reshape(size_u, size_u, size_d).copy()
+    final = bufs[n & 1, 0].reshape(size_u, size_u, size_d)
+    return DpResult(cwefs_from_cells(final, n, include_w0), truncated,
+                    int(bufs[n & 1].sum()), kept)
 
-    def by_weight(row, length):
-        cells = row.reshape(size_u, size_u, size_d)
-        return {w: Cwef(w, length, {(int(u), int(d - u)): int(cells[w, u, d])
-                                    for u, d in zip(*np.nonzero(cells[w]))})
-                for w in range(0 if include_w0 else 1, w_max + 1)}
 
-    return DpResult(by_weight(bufs[n & 1, 0], n), truncated, int(bufs[n & 1].sum()),
-                    {i: by_weight(row, i) for i, row in kept_rows.items()})
+def cwefs_from_cells(cells, n: int, include_w0: bool = False) -> dict[int, Cwef]:
+    """The enumerators of block length n held in zero-state cells laid
+    out (w, u, d = u + z) as exact_cwef_dp keeps them, by input weight;
+    the counts may be int64 or Python ints."""
+    by_weight = {}
+    for w in range(0 if include_w0 else 1, cells.shape[0]):
+        us, ds = cells[w].nonzero()
+        keys = zip(us.tolist(), (ds - us).tolist())
+        by_weight[w] = Cwef(w, n, dict(zip(keys, cells[w][us, ds].tolist())))
+    return by_weight
 
 
 def _zero_weight_cycle(code: RscCode, p_z) -> bool:
@@ -201,7 +232,8 @@ def event_span_bound(code: RscCode, p_u, p_z, w_max: int, d_max: int,
         # a path makes at most w_max zero-input runs, and each lcm(L, M)
         # steps of a run close whole cycles, which weigh at least 1
         limit = w_max * ((d_max + 2) * lcm(code.period, m_period) + 1)
-    pu, pz = extend_row(p_u, m_period), extend_row(p_z, m_period)
+    pu = np.array(extend_row(p_u, m_period), dtype=np.int64)
+    pz = np.array(extend_row(p_z, m_period), dtype=np.int64)
     n_states = code.n_states
     # node (w, s, c), flat at ((w - 1) n_states + s) M + c: input weight
     # w, state s != 0, next step in column c; a last cell holds d_max + 1
@@ -210,20 +242,23 @@ def event_span_bound(code: RscCode, p_u, p_z, w_max: int, d_max: int,
     over = d_max + 1
     pred = np.full((2, size), size, dtype=np.int64)
     add = np.zeros((2, size), dtype=np.int64)
-    for s, b in product(range(1, n_states), (0, 1)):
-        t, _, parity = step(code, s, b)
-        if t == 0:
-            continue  # remerged: the event is over
-        for w, c in product(range(1, w_max + 1 - b), range(m_period)):
-            at = ((w - 1 + b) * n_states + t) * m_period + (c + 1) % m_period
-            pred[b, at] = ((w - 1) * n_states + s) * m_period + c
-            add[b, at] = b * pu[c] + parity * pz[c]
+    cols = np.arange(m_period)
+    moves = np.array([[step(code, s, b) for b in (0, 1)] for s in range(n_states)])
+    for b in (0, 1):
+        # every source state that stays off zero, weight w < w_max + 1 - b
+        # and column at once, indexed (w, s, c)
+        src = np.flatnonzero(moves[:, b, 0])
+        src = src[src > 0]
+        t, parity = moves[src, b, 0][:, None], moves[src, b, 2][:, None]
+        rows = np.arange(w_max - b)[:, None, None] * n_states
+        at = (rows + b * n_states + t) * m_period + (cols + 1) % m_period
+        pred[b, at] = (rows + src[:, None]) * m_period + cols
+        add[b, at] = b * pu + parity * pz
     # least u + z over the paths that diverged t steps ago and have not
     # remerged, from every start column
     dist = np.full(size + 1, over, dtype=np.int64)
     first, _, parity = step(code, 0, 1)
-    for c in range(m_period):
-        dist[first * m_period + (c + 1) % m_period] = pu[c] + parity * pz[c]
+    dist[first * m_period + (cols + 1) % m_period] = pu + parity * pz
     cand = np.empty((2, size), dtype=np.int64)
     t = 1
     while dist.min() <= d_max:

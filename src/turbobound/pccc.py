@@ -18,7 +18,8 @@ from math import comb, lcm
 from operator import mul
 
 from .cwef import Cwef, cwef_w2_punctured, weight2_minima
-from .oracle import check_dp_limits, event_span_bound, exact_cwef_dp
+from .oracle import (check_dp_limits, cwefs_from_cells, event_span_bound, exact_cwef_dp,
+                     span_step_cost)
 from .puncture import PcccPunctureSet, code_rate
 from .rsc import RscCode
 
@@ -296,7 +297,8 @@ def constituent_cwefs(code: RscCode, p_u, p_z, n: int, w_max: int,
                       d_max: int) -> tuple[dict[int, Cwef], bool]:
     """The enumerators by_weight and the truncated flag of
     exact_cwef_dp(code, p_u, p_z, n, w_max, d_max), from a pass much
-    shorter than n wherever the event span allows one.
+    shorter than n wherever the event span allows one and the
+    certificate that finds the span costs less than it saves.
 
     A terminated path of weight w <= w_max is at most j = w_max // 2
     error events, each at most S = event_span_bound(...) steps long when
@@ -311,10 +313,13 @@ def constituent_cwefs(code: RscCode, p_u, p_z, n: int, w_max: int,
     1, and a pass of n drops every prefix a shorter pass drops.
     Refusals are those of the pass at n.
     """
-    check_dp_limits(code, n, w_max, d_max)
+    d_cap = check_dp_limits(code, n, w_max, d_max)
     m_period, j = lcm(len(p_u), len(p_z)), w_max // 2
-    # a span up to this leaves a pass shorter than n
-    limit = (n - (j + 2) * m_period) // j
+    # the certificate walks at most limit steps, each worth cost steps of
+    # the trellis pass, and the pass after it takes at most
+    # j limit + (j + 2) M - 1 steps: together fewer than the pass at n
+    cost = span_step_cost(code, w_max, d_cap, m_period)
+    limit = 0 if cost is None else int((n - (j + 2) * m_period) // (j + cost))
     span = event_span_bound(code, p_u, p_z, w_max, d_max, limit) if limit > 0 else None
     if span is None:
         res = exact_cwef_dp(code, p_u, p_z, n, w_max, d_max)
@@ -322,22 +327,15 @@ def constituent_cwefs(code: RscCode, p_u, p_z, n: int, w_max: int,
     n0 = j * span + m_period
     n0 += (n - n0) % m_period
     steps = [n0 + i * m_period for i in range(j + 1)]
-    res = exact_cwef_dp(code, p_u, p_z, steps[-1], w_max, d_max, keep=steps[:-1])
-    samples = [res.kept[i] for i in steps[:-1]] + [res.by_weight]
+    res = exact_cwef_dp(code, p_u, p_z, steps[-1], w_max, d_max, keep=steps)
     # Newton: f(q) = sum_k C(q, k) d^k f(0), where the k-th forward
     # difference d^k f(0) = sum_i (-1)^(k-i) C(k, i) f(i); gathered into
-    # one integer weight per sample f(i)
+    # one integer weight per sample f(i), summed in Python ints
     q = (n - n0) // m_period
     weights = [sum((-1) ** (k - i) * comb(q, k) * comb(k, i) for k in range(i, j + 1))
                for i in range(j + 1)]
-    by_weight = {}
-    for w in range(1, w_max + 1):
-        terms: dict[tuple[int, int], int] = {}
-        for weight, sample in zip(weights, samples):
-            for key, c in sample[w].terms.items():
-                terms[key] = terms.get(key, 0) + weight * c
-        by_weight[w] = Cwef(w, n, {key: c for key, c in terms.items() if c})
-    return by_weight, res.truncated
+    cells = sum(weight * res.kept[i].astype(object) for weight, i in zip(weights, steps))
+    return cwefs_from_cells(cells, n), res.truncated
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ cycle screen must agree with walking every cycle.
 """
 
 from itertools import product
-from math import lcm
+from math import ceil, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +18,7 @@ import turbobound.oracle as oracle
 import turbobound.pccc as pccc
 from turbobound.cwef import path_weights
 from turbobound.gf2 import is_primitive
-from turbobound.oracle import GRID_CODES, event_span_bound, exact_cwef_dp
+from turbobound.oracle import GRID_CODES, event_span_bound, exact_cwef_dp, span_step_cost
 from turbobound.pccc import constituent_cwefs
 from turbobound.puncture import pseudo_random_pattern
 from turbobound.rsc import RscCode, step
@@ -53,9 +53,9 @@ def assert_matches_dp(code, p_u, p_z, n, w_max, d_max):
        st.integers(8, 60))
 # a parity row of zeros: a zero-weight cycle, so no span bound
 @example((CODE_15_17, (1,), (0,)), 2500, 3, 40)
-# S = 106: n = 108 leaves no shorter pass, n = 109 one of 108 steps
+# S = 106: n = 108 leaves no shorter pass, n = 130 one of 108 steps
 @example((CODE_15_17, (1,), (1,)), 108, 3, 60)
-@example((CODE_15_17, (1,), (1,)), 109, 3, 60)
+@example((CODE_15_17, (1,), (1,)), 130, 3, 60)
 def test_bound_path_matches_the_dp_at_n(case, n, w_max, d_max):
     assert_matches_dp(*case, n, w_max, d_max)
 
@@ -90,9 +90,33 @@ def test_unbounded_span_and_short_blocks_take_the_pass_at_n(monkeypatch):
     assert event_span_bound(CODE_15_17, (1,), (0,), 3, 40) is None
     constituent_cwefs(CODE_15_17, (1,), (0,), 2500, 3, 40)
     assert event_span_bound(CODE_15_17, (1,), (1,), 3, 60) == 106
-    for n in (108, 109, 2500):
+    # the pass of 108 steps pays once the certificate's 106 steps, at
+    # their cost, and that pass fit below n
+    first = 3 + ceil(106 * (1 + span_step_cost(CODE_15_17, 3, 60, 1)))
+    for n in (108, first - 1, first, 2500):
         constituent_cwefs(CODE_15_17, (1,), (1,), n, 3, 60)
-    assert lengths == [2500, 108, 108, 108]
+    assert lengths == [2500, 108, first - 1, 108, 108]
+
+
+def test_a_certificate_larger_than_the_pass_is_never_run(monkeypatch):
+    # a degree-12 feedback behind pseudo A has M = 4095: the certificate
+    # would hold about 2.8 GB where the pass at n holds 143 MiB
+    code = RscCode.from_octals("10123", "1")
+    c = pseudo_random_pattern(code, "A").constituent1()
+    assert span_step_cost(code, 3, 120, 4095) is None
+    lengths = []
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the certificate ran")
+
+    def recorded(code, p_u, p_z, n, *args, **kwargs):
+        lengths.append(n)
+        return oracle.DpResult({}, False, 0)
+
+    monkeypatch.setattr(pccc, "event_span_bound", refused)
+    monkeypatch.setattr(pccc, "exact_cwef_dp", recorded)
+    constituent_cwefs(code, c.p_u, c.p_z, 12_286, 3, 120)
+    assert lengths == [12_286]
 
 
 def test_span_bound_stops_at_its_limit():
