@@ -17,18 +17,18 @@ import tempfile
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from heapq import nlargest
 from itertools import combinations
 from math import comb
 
 from . import __version__
-from .cwef import cwef_w2_punctured, weight2_minima
+from .cwef import cwef_w2_punctured, weight2_minima, weight2_total
 from .oracle import DP_D_LIMIT, DP_W_LIMIT, run_verification
-from .pccc import (DEFAULT_D_MAX, DEFAULT_W_MAX, PcccConfig, d_free_eff,
+from .pccc import (DEFAULT_D_MAX, DEFAULT_W_MAX, PcccConfig, certified_horizon,
+                   certified_p2, constituent_minima, d_free_eff,
                    distance_spectrum, free_effective_distance,
-                   p2_approximation, q_horizon, truncated_union_bound,
-                   union_bound_term)
+                   p2_approximation, truncated_union_bound)
 # not called here; the benchmark harness self-test traces cli.p2_slice
 from .pccc import p2_slice  # noqa: F401
 from .puncture import (PcccPunctureSet, classification, code_rate,
@@ -195,11 +195,12 @@ def cmd_bound(args) -> int:
         raise ValueError(f"--dmax must lie in [1, {DP_D_LIMIT}]")
     grid = _parse_snr(args.snr)
     config = PcccConfig(code1, code2, pset, args.n)
-    dfree = free_effective_distance(config)
+    minima = constituent_minima(config)
+    dfree = free_effective_distance(config, minima)
     # the DP refuses what it cannot count before any P(2) work is done
     if args.wmax > 2:
         tb = truncated_union_bound(config, args.wmax, args.dmax, grid)
-    p2_curve = p2_approximation(config, grid)
+    p2_curve = p2_approximation(config, grid, minima)
 
     entries = {
         "sys": row_to_string(pset.sys), "par1": row_to_string(pset.par1),
@@ -274,19 +275,23 @@ def _minima_batch(tasks):
     return [weight2_minima(*task) for task in tasks]
 
 
-def _search_p2(payload):
+def _search_p2(payload, d_min=0):
     """P(2) of each contender in a chunk, from the spectrum and union sum
-    that `bound` uses, clipped at the chunk's one D*; each distinct
-    constituent row is built once."""
+    that `bound` uses, clipped at the chunk's one certified horizon and
+    each distinct constituent row built once per horizon.  d_min, the
+    largest weight-2 distance among the contenders, steers the horizon:
+    a smaller one only makes rebuilds at D* likelier."""
     code1, code2, chunk, n, rate, db = payload
-    horizon = q_horizon(rate, db)
+    total = weight2_total(code1, n) * weight2_total(code2, n)
+    horizon = certified_horizon(rate, db, d_min, total)
     cwef = cache(cwef_w2_punctured)  # held for this chunk only
     out = []
     for sys_row, par1_row, par2_row in chunk:
-        a1 = cwef(code1, sys_row, par1_row, n, horizon)
-        a2 = cwef(code2, (0,) * len(par2_row), par2_row, n, horizon)
-        out.append(union_bound_term(distance_spectrum(a1, a2, n, 2, horizon),
-                                    n, rate, db))
+        def spectrum(h):
+            a1 = cwef(code1, sys_row, par1_row, n, h)
+            a2 = cwef(code2, (0,) * len(par2_row), par2_row, n, h)
+            return distance_spectrum(a1, a2, n, 2, h)
+        out += certified_p2(spectrum, total, n, rate, (db,), horizon)
     return out
 
 
@@ -374,7 +379,9 @@ def cmd_search(args) -> int:
                   if d >= threshold]
     payloads = [(code1, code2, [rows for _, rows in chunk], args.n, rate, grid[0])
                 for chunk in _chunked(contenders, jobs)]
-    p2_values = [v for block in _pool_map(_search_p2, payloads, jobs)
+    # one horizon for every chunk, so that --jobs does not change the work
+    p2_values = [v for block in _pool_map(partial(_search_p2, d_min=max(dfree)),
+                                          payloads, jobs)
                  for v in block]
     ranked = sorted(
         ((d, p2, rows) for (d, rows), p2 in zip(contenders, p2_values)),
@@ -435,6 +442,7 @@ def _add_out_flag(p) -> None:
                         "replaced atomically")
 
 
+@cache  # built once per process: it holds no state from any input
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="turbobound",

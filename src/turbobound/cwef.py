@@ -105,6 +105,41 @@ def cwef_w2_punctured(code: RscCode, p_u, p_z, n: int,
     return Cwef(2, n, terms)
 
 
+def weight2_total(code: RscCode, n: int) -> int:
+    """The number of weight-2 inputs of an n-step block that leave code
+    in the zero state, the sum of n - kL over k >= 1: the total() of
+    every weight-2 enumerator at n, whatever the pattern."""
+    k = (n - 1) // code.period
+    return k * n - code.period * k * (k + 1) // 2
+
+
+def weight2_span_minimum(code: RscCode, p_u, p_z, k: int) -> int:
+    """The least u + z of path_weights(code, p_u, p_z, k, m) over the
+    start columns m = 1..M.  A span's column sums repeat every
+    lcm(L, M) / L periods, so each column costs one such cycle, not k."""
+    p_u, p_z = as_row(p_u), as_row(p_z)
+    l_period, m_period = code.period, lcm(len(p_u), len(p_z))
+    pu, pz = extend_row(p_u, m_period), extend_row(p_z, m_period)
+    z_cores = punctured_core_weights(code, pz)
+    cycle = lcm(l_period, m_period) // l_period
+    whole, part = divmod(k, cycle)
+    diverge, y_last = code.impulse_parity[0], code.impulse_parity[-1]
+    best = math.inf
+    for m0 in range(m_period):
+        # period j of the path starts in column m0 + jL: its core weight
+        # and the parity bit at its join, over j < min(k, cycle)
+        cols = [(m0 + j * l_period) % m_period for j in range(min(k, cycle))]
+        cores = [z_cores[(c + 1) % m_period] for c in cols]
+        joins = [pz[c] for c in cols]
+        core = whole * sum(cores) + sum(cores[:part])
+        # the joins of periods 1..k-1, between the diverge and the remerge
+        wrap = whole * sum(joins) + sum(joins[:part]) - pz[m0]
+        end = (m0 + k * l_period) % m_period
+        z = diverge * pz[m0] + core + y_last * wrap + pz[end]
+        best = min(best, pu[m0] + pu[end] + z)
+    return best
+
+
 def weight2_minima(code: RscCode, p_u, p_z, n: int | None = None) -> tuple[int, int]:
     """min_weights over the weight-2 paths of an n-step block, or of any
     block when n is None, from the enumerator at probe_length or at a

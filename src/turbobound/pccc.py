@@ -17,7 +17,8 @@ from fractions import Fraction
 from math import comb, lcm
 from operator import mul
 
-from .cwef import Cwef, cwef_w2_punctured, weight2_minima
+from .cwef import (Cwef, cwef_w2_punctured, weight2_minima, weight2_span_minimum,
+                   weight2_total)
 from .oracle import (check_dp_limits, cwefs_from_cells, event_span_bound, exact_cwef_dp,
                      span_step_cost)
 from .puncture import PcccPunctureSet, code_rate
@@ -212,6 +213,11 @@ def _tails(scale: float, distances) -> list[float]:
     return out
 
 
+def _q_at(scale: float, d) -> float:
+    """Q(sqrt(scale * d)) as the union sum computes it."""
+    return sum(_tails(scale, (d,)), 0.0)
+
+
 def q_horizon(rate, ebn0_db: float) -> float:
     """D*, the smallest distance d whose Q(sqrt(2 R Eb/N0 d)) is exactly
     0.0 in floats, or inf when no d up to 2**1000 reaches 0.0.
@@ -221,30 +227,59 @@ def q_horizon(rate, ebn0_db: float) -> float:
     spectrum may be clipped there.  D* is about 1481 / (2 R Eb/N0):
     1481 at 0 dB and rate 1/2."""
     scale = _scale(rate, ebn0_db)
-
-    def underflows(d: int) -> bool:
-        return not _tails(scale, (d,))
-
     hi = 1
-    while not underflows(hi):
+    while _q_at(scale, hi) > 0.0:
         hi *= 2
         if hi > 2**1000:  # scale * d turns d into a float, below 2**1024
             return math.inf
     lo = hi // 2  # Q(lo) > 0; Q(0) = 0.5
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if underflows(mid):
+        if _q_at(scale, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def certified_horizon(rate, ebn0_db: float, d_min: int, total: int) -> float:
+    """A distance h <= D* at which a weight-2 spectrum may be clipped for
+    a grid that starts at ebn0_db: the smallest h whose
+    Q(sqrt(2 R Eb/N0 h)) is below 2**-62 Q(sqrt(2 R Eb/N0 d_min)) / total,
+    where d_min is the spectrum's smallest distance and total its whole
+    count.  Past h all total counts together then weigh below a 2**-62
+    share of the term at d_min.  h is only a choice:
+    union_bound_curve proves each clipped sum, and certified_p2 falls
+    back to D*.  D* when no h below it qualifies, inf when D* is."""
+    d_star = q_horizon(rate, ebn0_db)
+    scale = _scale(rate, ebn0_db)
+    target = 2.0**-62 * _q_at(scale, d_min) / total
+    if d_star == math.inf or target == 0.0:
+        return d_star
+    lo, hi = d_min, d_star  # Q(lo) >= target > Q(hi) = 0.0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _q_at(scale, mid) < target:
             hi = mid
         else:
             lo = mid
     return hi
 
 
-def union_bound_curve(b: IowefSlice, n: int, rate, ebn0_db) -> tuple[float, ...]:
+def union_bound_curve(b: IowefSlice, n: int, rate, ebn0_db, rest: int = 0,
+                      horizon: float = math.inf) -> tuple[float, ...] | None:
     """Contribution P(w) of one input weight to the union bound at each
     Eb/N0 of a grid: the sum over d of
     (w / n) * (count_d / C(n, w)) * Q(sqrt(2 R Eb/N0 d)).  Each
-    coefficient is divided once for the whole grid."""
+    coefficient is divided once for the whole grid.
+
+    rest counts more, each at a distance of horizon or more, may be left
+    out of b.  Then each sum is returned only when it provably equals
+    the sum with them, and None is returned otherwise: together they
+    weigh at most B = (w rest / denom) Q(horizon), so the sum is proved
+    when adding 4 B rounds to the same float (fsum is correctly rounded,
+    hence monotone; the 4 covers the roundings of each coefficient, Q
+    and product)."""
     rate = Fraction(rate)
     if not 0 < rate < 1:
         raise ValueError(f"rate {rate} outside (0, 1)")
@@ -256,10 +291,19 @@ def union_bound_curve(b: IowefSlice, n: int, rate, ebn0_db) -> tuple[float, ...]
     distances = [float(d) for d, _ in items]
     # int / int is correctly rounded: float(Fraction(b.w * c, denom))
     coefficients = [b.w * c / denom for _, c in items]
-    # map stops at the shorter list: Q past the first 0.0 adds nothing
-    return tuple(
-        math.fsum(map(mul, coefficients, _tails(_scale(rate, db), distances)))
-        for db in ebn0_db)
+    rest_coefficient = b.w * rest / denom
+    sums = []
+    for db in ebn0_db:
+        scale = _scale(rate, db)
+        # map stops at the shorter list: Q past the first 0.0 adds nothing
+        head = list(map(mul, coefficients, _tails(scale, distances)))
+        value = math.fsum(head)
+        if rest:
+            head.append(4.0 * rest_coefficient * _q_at(scale, horizon))
+            if math.fsum(head) != value:
+                return None
+        sums.append(value)
+    return tuple(sums)
 
 
 def union_bound_term(b: IowefSlice, n: int, rate, ebn0_db: float) -> float:
@@ -276,20 +320,43 @@ def p2_slice(config: PcccConfig, horizon: float = math.inf) -> IowefSlice:
     return distance_spectrum(a1, a2, config.n, 2, horizon)
 
 
+def certified_p2(spectrum, total: int, n: int, rate, ebn0_db,
+                 horizon: float) -> tuple[float, ...]:
+    """P(2) at each point of a grid, from spectrum(h), the weight-2
+    distance spectrum below h of a block whose whole spectrum holds
+    total counts.  It is clipped at horizon, a certified_horizon, and
+    each sum is proved to equal that of the whole spectrum; when a proof
+    fails the spectrum is rebuilt up to D* of the lowest point, where no
+    term adds to any sum."""
+    b = spectrum(horizon)
+    sums = union_bound_curve(b, n, rate, ebn0_db, total - sum(b.coeffs.values()),
+                             horizon)
+    if sums is None:
+        sums = union_bound_curve(spectrum(q_horizon(rate, min(ebn0_db))),
+                                 n, rate, ebn0_db)
+    return sums
+
+
 def _as_points(raw_values, ebn0_db) -> tuple[BoundPoint, ...]:
     return tuple(
         BoundPoint(db, min(v, 1.0), v > 1.0, v)
         for db, v in zip(ebn0_db, raw_values))
 
 
-def p2_approximation(config: PcccConfig, ebn0_db) -> BoundCurve:
-    """Dominant-term approximation of the bit-error union bound."""
+def p2_approximation(config: PcccConfig, ebn0_db, minima=None) -> BoundCurve:
+    """Dominant-term approximation of the bit-error union bound.
+
+    minima, the two constituents' weight-2 minima pairs when the caller
+    holds them, give the spectrum's smallest distance that the clipping
+    horizon is chosen from."""
     ebn0_db = tuple(float(db) for db in ebn0_db)
     if not ebn0_db:
         raise ValueError("need at least one SNR point")
-    # no distance at or past D* of the lowest point adds to any P(2)
-    sl = p2_slice(config, q_horizon(config.rate, min(ebn0_db)))
-    raw = union_bound_curve(sl, config.n, config.rate, ebn0_db)
+    (m1, _), (_, z2) = minima or constituent_minima(config)
+    total = weight2_total(config.code1, config.n) * weight2_total(config.code2, config.n)
+    horizon = certified_horizon(config.rate, min(ebn0_db), m1 + z2, total)
+    raw = certified_p2(lambda h: p2_slice(config, h), total, config.n,
+                       config.rate, ebn0_db, horizon)
     return BoundCurve(_as_points(raw, ebn0_db), label="p2")
 
 
@@ -320,7 +387,11 @@ def constituent_cwefs(code: RscCode, p_u, p_z, n: int, w_max: int,
     # j limit + (j + 2) M - 1 steps: together fewer than the pass at n
     cost = span_step_cost(code, w_max, d_cap, m_period)
     limit = 0 if cost is None else int((n - (j + 2) * m_period) // (j + cost))
-    span = event_span_bound(code, p_u, p_z, w_max, d_max, limit) if limit > 0 else None
+    # a weight-2 event of span kL + 1 whose u + z is at most d_max makes
+    # S > kL, so when one reaches the limit the walk can only give up
+    span = None
+    if limit > 0 and weight2_span_minimum(code, p_u, p_z, -(-limit // code.period)) > d_max:
+        span = event_span_bound(code, p_u, p_z, w_max, d_max, limit)
     if span is None:
         res = exact_cwef_dp(code, p_u, p_z, n, w_max, d_max)
         return res.by_weight, res.truncated
@@ -363,7 +434,7 @@ def truncated_union_bound(config: PcccConfig, w_max: int = DEFAULT_W_MAX,
         raise ValueError("d_max must be positive")
     # the smallest weight-2 distance: constituent 1's smallest u + z plus
     # constituent 2's smallest z, also when either of them is 0
-    m1, m2 = (weight2_minima(*c, config.n) for c in config.constituents())
+    m1, m2 = constituent_minima(config)
     if m1[0] + m2[1] > d_max:
         raise ValueError(
             f"d_max={d_max} is below the smallest weight-2 distance; "
@@ -395,13 +466,19 @@ def d_free_eff(m1: tuple[int, int], m2: tuple[int, int]) -> int:
     return 0 if d1 == 0 or z2 == 0 else d1 + z2
 
 
-def free_effective_distance(config: PcccConfig) -> int:
-    """Smallest transmitted weight reachable by a weight-2 input pair.
+def constituent_minima(config: PcccConfig) -> tuple[tuple[int, int], ...]:
+    """The two constituents' weight2_minima in an n-step block."""
+    return tuple(weight2_minima(*c, config.n) for c in config.constituents())
+
+
+def free_effective_distance(config: PcccConfig, minima=None) -> int:
+    """Smallest transmitted weight reachable by a weight-2 input pair,
+    from the two constituents' minima, read here unless given.
 
     Returns 0 (with a warning) when either constituent admits a
     zero-weight event, the catastrophic-puncturing case.
     """
-    dfree = d_free_eff(*(weight2_minima(*c, config.n) for c in config.constituents()))
+    dfree = d_free_eff(*(minima or constituent_minima(config)))
     if dfree == 0:
         warnings.warn("catastrophic puncturing: weight-2 event with zero "
                       "transmitted weight", stacklevel=2)

@@ -4,7 +4,9 @@
 requested n, flag included, whether it reads the counts off a shorter
 pass or falls back to the pass at n.  `event_span_bound` must bound the
 span of every weight-2 path the closed form knows, and its zero-weight
-cycle screen must agree with walking every cycle.
+cycle screen must agree with walking every cycle.  A weight-2 path that
+already outlasts the walk's limit within d_max skips the walk, which
+could only give up.
 """
 
 from itertools import product
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import turbobound.oracle as oracle
 import turbobound.pccc as pccc
-from turbobound.cwef import path_weights
+from turbobound.cwef import path_weights, weight2_span_minimum
 from turbobound.gf2 import is_primitive
 from turbobound.oracle import GRID_CODES, event_span_bound, exact_cwef_dp, span_step_cost
 from turbobound.pccc import constituent_cwefs
@@ -163,3 +165,38 @@ def walked_zero_weight_cycle(code, p_z):
 @given(codes(), rows(8))
 def test_zero_weight_cycle_screen_matches_walking_every_cycle(code, p_z):
     assert oracle._zero_weight_cycle(code, p_z) == walked_zero_weight_cycle(code, p_z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes(), rows(6), rows(6), st.integers(1, 80))
+def test_span_minimum_is_the_least_path_weight(code, p_u, p_z, k):
+    m_period = lcm(len(p_u), len(p_z))
+    assert weight2_span_minimum(code, p_u, p_z, k) == min(
+        sum(path_weights(code, p_u, p_z, k, m)) for m in range(1, m_period + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(constituents(), st.integers(2, 4), st.integers(8, 60), st.integers(1, 400))
+def test_a_weight2_path_past_the_limit_leaves_the_walk_nothing(case, w_max, d_max,
+                                                              limit):
+    code, p_u, p_z = case
+    k = ceil(limit / code.period)
+    if weight2_span_minimum(code, p_u, p_z, k) <= d_max:
+        assert event_span_bound(code, p_u, p_z, w_max, d_max, limit) is None
+
+
+def test_a_weight2_witness_skips_the_walk(monkeypatch):
+    # 23/35 with p_z = 110000 at d_max 120: a weight-2 path of span
+    # 60 L + 1 = 901 weighs 120, past the walk's limit of 896 steps at
+    # n = 1000, so the walk, which would give up there, is not started
+    code, p_u, p_z = RscCode.from_octals("23", "35"), (0,) * 6, (1, 1, 0, 0, 0, 0)
+    assert event_span_bound(code, p_u, p_z, 3, 120) == 928
+    assert event_span_bound(code, p_u, p_z, 3, 120, limit=896) is None
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the certificate ran")
+
+    lengths = pass_lengths(monkeypatch)
+    monkeypatch.setattr(pccc, "event_span_bound", refused)
+    assert_matches_dp(code, p_u, p_z, 1000, 3, 120)
+    assert lengths == [1000]

@@ -1,11 +1,12 @@
-"""The Q horizon D*: clipped weight-2 spectra against the unclipped union
-sum.
+"""The Q horizon D* and the certified horizon: clipped weight-2 spectra
+against the unclipped union sum.
 
 D* is the first distance at which Q(sqrt(2 R Eb/N0 d)) is exactly 0.0 at
 the lowest point of a grid.  No term at or past it can change a union
-sum anywhere on the grid, so `bound` and `search` clip every P(2)
-spectrum there, and each value must stay == the union sum of the whole
-spectrum, float for float.
+sum anywhere on the grid.  `bound` and `search` clip every P(2) spectrum
+at a certified horizon h <= D*, prove that the counts past h cannot
+change a sum, and rebuild up to D* when the proof fails, so each value
+must stay == the union sum of the whole spectrum, float for float.
 """
 
 import math
@@ -17,16 +18,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from turbobound import cli
-from turbobound.cwef import cwef_w2_punctured
-from turbobound.gf2 import BinaryPolynomial
-from turbobound.pccc import (IowefSlice, PcccConfig, distance_spectrum,
+from turbobound.cwef import cwef_w2_punctured, weight2_total
+from turbobound.oracle import GRID_CODES
+from turbobound.pccc import (IowefSlice, PcccConfig, certified_horizon,
+                             certified_p2, distance_spectrum,
                              free_effective_distance, p2_approximation,
-                             q_function, q_horizon, union_bound_curve,
-                             union_bound_term)
+                             p2_slice, q_function, q_horizon,
+                             union_bound_curve, union_bound_term)
 from turbobound.puncture import PcccPunctureSet, pseudo_random_pattern
 from turbobound.rsc import RscCode
+from test_oracle_differential import codes
 
 CODE_23_35 = RscCode.from_octals("23", "35")
+CODE_15_17 = RscCode.from_octals("15", "17")
 
 
 def run(capsys, *argv):
@@ -67,16 +71,17 @@ def test_q_horizon_values():
 
 @st.composite
 def configs(draw):
-    nu = draw(st.integers(1, 4))
-    feedback = 1 | 1 << nu | draw(st.integers(0, (1 << (nu - 1)) - 1)) << 1
-    feedforward = 1 | draw(st.integers(0, (1 << nu) - 1)) << 1
-    assume(feedforward != feedback)
-    code = RscCode(BinaryPolynomial(feedback), BinaryPolynomial(feedforward))
+    """Rows of period <= 6, catastrophic ones too; encoder 2 is encoder 1
+    or another code, as --gr2/--gf2 give it; n is often the least
+    block, L + 1."""
+    code = draw(codes())
+    code2 = draw(st.one_of(st.just(code), codes()))
     row = st.integers(1, 6).flatmap(lambda m: st.tuples(*[st.integers(0, 1)] * m))
     pset = PcccPunctureSet(draw(row), draw(row), draw(row))
-    n = draw(st.integers(code.period + 1, 3000))
+    least = max(code.period, code2.period) + 1
+    n = draw(st.one_of(st.just(least), st.integers(least, 3000)))
     try:
-        return PcccConfig(code, code, pset, n)
+        return PcccConfig(code, code2, pset, n)
     except ValueError:  # nothing kept, or a rate of 1 or more
         assume(False)
 
@@ -97,16 +102,82 @@ def test_clipped_enumerators_and_spectrum_are_exact_below_the_horizon(
         d: c for d, c in whole.items() if d < horizon}
 
 
-@settings(max_examples=120, deadline=None)
-@given(configs(), st.floats(-8.0, 30.0), st.integers(1, 6),
+@settings(max_examples=200, deadline=None)
+@given(configs(), st.floats(-8.0, 40.0), st.integers(1, 6),
        st.sampled_from((0.25, 0.5, 3.0)))
 @example(PcccConfig(CODE_23_35, CODE_23_35,
                     pseudo_random_pattern(CODE_23_35, "A"), 2000),
          -2.0, 5, 0.5)
+# catastrophic: a zero-weight event in each constituent, d_min = 0
+@example(PcccConfig(CODE_15_17, CODE_15_17,
+                    PcccPunctureSet((0, 0, 0, 1, 1, 1, 1), (0, 0, 1, 0, 0, 0, 1),
+                                    (0, 0, 0, 1, 0, 0, 1)), 300), -8.0, 6, 3.0)
+# --gr2/--gf2: encoder 2 differs, and n is its least block
+@example(PcccConfig(CODE_15_17, CODE_23_35, PcccPunctureSet((1,), (1, 0), (0, 1)),
+                    16), 0.0, 6, 3.0)
 def test_horizon_p2_equals_the_unclipped_sum(config, start, points, step):
     grid = tuple(start + i * step for i in range(points))
     got = [p.raw for p in p2_approximation(config, grid).points]
     assert got == unclipped_p2(config, grid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs(), st.floats(-8.0, 40.0), st.integers(0, 400))
+def test_search_p2_equals_the_unclipped_sum_whatever_its_d_min(config, db, d_min):
+    # d_min only steers the horizon: too small a one risks a rebuild at
+    # D*, too large a one keeps more of the spectrum
+    rows = (config.punctures.sys, config.punctures.par1, config.punctures.par2)
+    payload = (config.code1, config.code2, [rows], config.n, config.rate, db)
+    assert cli._search_p2(payload, d_min=d_min) == unclipped_p2(config, (db,))
+
+
+def test_a_rest_that_could_change_a_sum_forces_the_rebuild_at_d_star():
+    config = PcccConfig(CODE_23_35, CODE_23_35,
+                        pseudo_random_pattern(CODE_23_35, "A"), 4000)
+    grid = (0.0, 2.0, 4.0)
+    total = weight2_total(CODE_23_35, 4000) ** 2
+    horizon = certified_horizon(config.rate, grid[0], 16, total)
+    assert 16 < horizon < q_horizon(config.rate, grid[0]) == 1481
+    clipped = p2_slice(config, horizon)
+    rest = total - sum(clipped.coeffs.values())
+    assert rest > 0
+    assert union_bound_curve(clipped, 4000, config.rate, grid, rest, horizon) == tuple(
+        unclipped_p2(config, grid))
+    # a rest 2**200 times too large cannot be proved harmless
+    assert union_bound_curve(clipped, 4000, config.rate, grid, rest << 200, horizon) is None
+    built = []
+
+    def spectrum(h):
+        built.append(h)
+        return p2_slice(config, h)
+
+    got = certified_p2(spectrum, total << 200, 4000, config.rate, grid, horizon)
+    assert built == [horizon, 1481]
+    assert list(got) == unclipped_p2(config, grid)
+
+
+@pytest.mark.parametrize("rate", [Fraction(1, 2), Fraction(2, 3)])
+@pytest.mark.parametrize("ebn0_db", [-4000.0, -1000.0, -3.0, 0.0, 6.0, 40.0])
+@pytest.mark.parametrize("d_min", [0, 16, 5000])
+def test_certified_horizon_is_the_first_distance_under_the_target(rate, ebn0_db, d_min):
+    total = 10**12
+    d_star = q_horizon(rate, ebn0_db)
+    h = certified_horizon(rate, ebn0_db, d_min, total)
+    target = 2.0**-62 * q_at(rate, ebn0_db, d_min) / total
+    if d_star == math.inf or target == 0.0:
+        assert h == d_star  # the whole spectrum, or everything Q keeps
+        return
+    assert d_min < h <= d_star
+    assert q_at(rate, ebn0_db, h) < target <= q_at(rate, ebn0_db, h - 1)
+
+
+@pytest.mark.parametrize("octals", GRID_CODES, ids="/".join)
+def test_weight2_total_counts_every_enumerator(octals):
+    code = RscCode.from_octals(*octals)
+    for n in range(code.period + 1, 301):
+        want = weight2_total(code, n)
+        for p_u, p_z in (((1,), (1,)), ((0, 1), (1, 1, 0)), ((0,), (0,))):
+            assert cwef_w2_punctured(code, p_u, p_z, n).total() == want
 
 
 def test_d_free_eff_past_the_horizon():
