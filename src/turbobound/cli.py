@@ -23,7 +23,7 @@ from itertools import combinations
 from math import comb
 
 from . import __version__
-from .cwef import cwef_w2_punctured, weight2_minima, weight2_total
+from .cwef import cwef_w2_punctured, weight2_minima, weight2_table, weight2_total
 from .oracle import DP_D_LIMIT, DP_W_LIMIT, run_verification
 from .pccc import (DEFAULT_D_MAX, DEFAULT_W_MAX, PcccConfig, certified_horizon,
                    certified_p2, constituent_minima, d_free_eff,
@@ -270,11 +270,6 @@ def cmd_patterns(args) -> int:
     return 0
 
 
-def _minima_batch(tasks):
-    """weight2_minima of each (code, p_u, p_z) task in a chunk."""
-    return [weight2_minima(*task) for task in tasks]
-
-
 def _search_p2(payload, d_min=0):
     """P(2) of each contender in a chunk, from the spectrum and union sum
     that `bound` uses, clipped at the chunk's one certified horizon and
@@ -350,21 +345,20 @@ def cmd_search(args) -> int:
         classes.append((pairs, _rows(m, kept - k)))
 
     # behind the uniform interleaver d_free_eff splits into a constituent-1
-    # part and a par2 part, so each distinct row is screened once
+    # part and a par2 part, so each distinct row is screened once, off one
+    # packed weight-2 table per code of the block that `bound` reads
     zeros = (0,) * m
-    tasks = list(dict.fromkeys(
-        [(code1, *pair) for pairs, _ in classes for pair in pairs]
-        + [(code2, zeros, par2) for _, rows in classes for par2 in rows]))
-    minima = dict(zip(tasks, (
-        mw for block in _pool_map(_minima_batch, _chunked(tasks, jobs), jobs)
-        for mw in block)))
+    table1 = weight2_table(code1, m, args.n)
+    table2 = table1 if code2 is code1 else weight2_table(code2, m, args.n)
+    minima1 = table1.minima(pair for pairs, _ in classes for pair in pairs)
+    minima2 = table2.minima((zeros, par2) for _, rows in classes for par2 in rows)
 
     def triples():
         """Every candidate with its two constituents' minima."""
         for pairs, rows in classes:
-            m2s = [(par2, minima[(code2, zeros, par2)]) for par2 in rows]
+            m2s = [(par2, minima2[zeros, par2]) for par2 in rows]
             for pair in pairs:
-                m1 = minima[(code1, *pair)]
+                m1 = minima1[pair]
                 for par2, m2 in m2s:
                     yield (*pair, par2), m1, m2
 
@@ -501,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=20,
                    help="how many patterns to emit (default %(default)s)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at most one per CPU")
+                   help="worker processes for the P(2) tie-break, at most "
+                        "one per CPU")
     _add_out_flag(p)
     p.set_defaults(func=cmd_search)
 

@@ -10,11 +10,15 @@ enumerators without touching a trellis.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 from math import lcm
 
-from .puncture import as_row, extend_row, probe_length, punctured_core_weights
+from .puncture import (Row, as_row, extend_row, folded_core_response, probe_length,
+                       punctured_core_weights)
 from .rsc import RscCode, weight2_parity_response
 
 
@@ -140,10 +144,97 @@ def weight2_span_minimum(code: RscCode, p_u, p_z, k: int) -> int:
     return best
 
 
+def _minima_block(code: RscCode, m_period: int, n: int | None) -> int:
+    """The block whose weight-2 paths hold the minima of an n-step block,
+    or of any block when n is None: probe_length, or a shorter n."""
+    probe = probe_length(code, m_period)
+    return min(probe, n or probe)
+
+
 def weight2_minima(code: RscCode, p_u, p_z, n: int | None = None) -> tuple[int, int]:
     """min_weights over the weight-2 paths of an n-step block, or of any
     block when n is None, from the enumerator at probe_length or at a
-    shorter n: the one source of the minima every command reads."""
+    shorter n: the one source of the minima that commands reading one
+    row pair at a time use, and the reference for Weight2Table."""
     p_u, p_z = as_row(p_u), as_row(p_z)
-    probe = probe_length(code, lcm(len(p_u), len(p_z)))
-    return min_weights(cwef_w2_punctured(code, p_u, p_z, min(probe, n or probe)))
+    block = _minima_block(code, lcm(len(p_u), len(p_z)), n)
+    return min_weights(cwef_w2_punctured(code, p_u, p_z, block))
+
+
+@dataclass(frozen=True)
+class Weight2Table:
+    """The weight-2 paths of one block under period-M rows, packed by
+    pattern column.  Slot p of z_cols[c], an item of array type `slot`,
+    counts the parity ones that path p sends in column c, and slot p of
+    u_cols[c] its systematic ones; all the slots take nbytes.  A row
+    keeps a set of columns, so the sum of the column ints it keeps holds
+    its weight on every path at once.  No slot carries into the next: a
+    path of span kL + 1 weighs at most kL + 3, and the slot type is
+    chosen to hold the longest."""
+
+    period: int
+    slot: str
+    nbytes: int
+    u_cols: tuple[int, ...]
+    z_cols: tuple[int, ...]
+
+    def _least(self, packed: int) -> int:
+        return min(memoryview(packed.to_bytes(self.nbytes, sys.byteorder)).cast(self.slot))
+
+    def minima(self, pairs) -> dict[tuple[Row, Row], tuple[int, int]]:
+        """weight2_minima of each (p_u, p_z) pair of rows whose lengths
+        divide M, keyed by the pair: each distinct row is packed once,
+        and each pair then costs one addition and one slot scan."""
+        u_packed: dict[Row, int] = {}
+        z_packed: dict[Row, tuple[int, int]] = {}
+        out = {}
+        for p_u, p_z in pairs:
+            u = u_packed.get(p_u)
+            if u is None:
+                u = u_packed[p_u] = sum(compress(self.u_cols, extend_row(p_u, self.period)))
+            z_entry = z_packed.get(p_z)
+            if z_entry is None:
+                z = sum(compress(self.z_cols, extend_row(p_z, self.period)))
+                z_entry = z_packed[p_z] = z, self._least(z)
+            out[p_u, p_z] = self._least(u + z_entry[0]), z_entry[1]
+        return out
+
+
+def weight2_table(code: RscCode, m_period: int, n: int | None = None) -> Weight2Table:
+    """The Weight2Table of the block that weight2_minima reads for
+    period-M rows at n, built from the folded core response in
+    O(L + K M^2) for the K span multipliers that fit, without walking
+    any path's parity profile."""
+    l_period = code.period
+    block = _minima_block(code, m_period, n)
+    if block <= l_period:
+        raise ValueError(f"no weight-2 path fits in n={block} <= L={l_period}")
+    folded = folded_core_response(code, m_period)
+    diverge, y_last = code.impulse_parity[0], code.impulse_parity[-1]
+    # opened[m0][c]: the parity ones in column c of the first kL steps of
+    # the path from column m0, all of the span-kL + 1 path but its remerge
+    opened = [[diverge * (c == m0) for c in range(m_period)] for m0 in range(m_period)]
+    u_paths, z_paths = [], []
+    for k in range(1, (block - 1) // l_period + 1):
+        base = (k - 1) * l_period
+        for m0, ones in enumerate(opened):
+            # period k - 1 of the path: its join bit, then its core bits
+            if k >= 2:
+                ones[(m0 + base) % m_period] += y_last
+            shift = m0 + base + 1
+            for c in range(m_period):
+                ones[c] += folded[(c - shift) % m_period]
+        # the path from column m0 fits when some start t = m0 mod M has
+        # t + kL < block
+        for m0 in range(min(m_period, block - k * l_period)):
+            end = (m0 + k * l_period) % m_period
+            z_paths.append([b + (c == end) for c, b in enumerate(opened[m0])])
+            u_paths.append([(c == m0) + (c == end) for c in range(m_period)])
+    slot = next(s for s in "BHIQ" if block + 2 < 1 << 8 * array(s).itemsize)
+
+    def columns(paths):
+        return tuple(int.from_bytes(array(slot, col).tobytes(), sys.byteorder)
+                     for col in zip(*paths))
+
+    return Weight2Table(m_period, slot, len(z_paths) * array(slot).itemsize,
+                        columns(u_paths), columns(z_paths))

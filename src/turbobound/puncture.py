@@ -107,6 +107,14 @@ def code_rate(punctures: PcccPunctureSet) -> Fraction:
     return Fraction(m, kept)
 
 
+def folded_core_response(code: RscCode, m_period: int) -> list[int]:
+    """The weight-2 response bits y_1..y_{L-1} summed by residue mod M:
+    entry r counts the ones that an excursion entered in column m sends
+    in column m + 1 + r, wrapping round, in O(L)."""
+    core = weight2_parity_response(code)[:code.period - 1]
+    return [sum(core[r::m_period]) for r in range(m_period)]
+
+
 def punctured_core_weights(code: RscCode, p_z) -> list[int]:
     """Parity weight of the open weight-2 excursion under each of the M
     circular shifts of the parity row: z_core^m for m = 1..M.
@@ -117,8 +125,7 @@ def punctured_core_weights(code: RscCode, p_z) -> list[int]:
     correlation of the folded response with the row, in O(M^2)."""
     p_z = as_row(p_z)
     m_period = len(p_z)
-    core = weight2_parity_response(code)[:code.period - 1]
-    folded = [sum(core[r::m_period]) for r in range(m_period)]
+    folded = folded_core_response(code, m_period)
     doubled = p_z + p_z
     # the row is 0/1, so each product sum is a sum of selected entries
     return [sum(compress(folded, doubled[m0:m0 + m_period]))

@@ -551,8 +551,8 @@ def test_search_jobs_splits_work(monkeypatch, tmp_path, capsys):
                    "--top", "10", "--jobs", jobs, "--out", str(target))[0] == 0
         reports.append(target.read_bytes())
     assert reports[0] == reports[1]
-    assert sizes[:2] == [(1, 1), (1, 1)]
-    assert sizes[2] == (2, 2)   # screening of C(12, 6) = 924 candidates
+    # screening runs in the parent process; the P(2) contenders split
+    assert sizes == [(1, 1), (2, 2)]
 
 
 def naive_ranking(gr, gf, rate, m, n, db, top):
@@ -595,20 +595,39 @@ def test_search_matches_naive_ranking(tmp_path, capsys, gr, gf):
 
 
 def test_search_builds_each_row_once(monkeypatch, capsys):
-    # screening builds one probe-length enumerator per distinct
-    # constituent-1 pair and par2 row, and P(2) one per distinct row at n
+    # screening reads one packed table per code and builds no enumerator;
+    # P(2) builds one enumerator per distinct row at n
     calls = count_cwef_builds(monkeypatch, cli, cwef)
+    tables = []
+    real_table = cwef.weight2_table
+
+    def counted_table(*args):
+        tables.append(args)
+        return real_table(*args)
+
+    monkeypatch.setattr(cli, "weight2_table", counted_table)
     code, out, _ = run(capsys, "search", "--gr1", "15", "--gf1", "17",
                        "--rate", "2/3", "--period", "4", "--n", "200")
     assert code == 0 and "# candidates = 924" in out
-    probe = [args for args in calls if args[3] != 200]
-    at_n = [args for args in calls if args[3] == 200]
-    assert probe and at_n
-    code15 = RscCode.from_octals("15", "17")
-    assert {args[3] for args in probe} == {probe_length(code15, 4)}
-    assert len(probe) <= 2**8 + 2**4
-    assert len(set(probe)) == len(probe)
-    assert len(set(at_n)) == len(at_n)
+    assert len(tables) == 1
+    assert calls and all(args[3] == 200 for args in calls)
+    assert len(set(calls)) == len(calls)
+
+
+def test_search_screens_a_short_block_as_bound_reads_it(capsys):
+    # n = 17 is below the probe length 76, whose longer spans lower the
+    # minima of some rows but do not fit in a 17-step block
+    code, out, _ = run(capsys, "search", "--gr1", "23", "--gf1", "35",
+                       "--rate", "1/2", "--period", "4", "--n", "17", "--top", "40")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()
+            if not line.startswith("#")][1:]
+    assert len(rows) == 40
+    for _, sys_row, par1, par2, dfree, _ in rows:
+        code, report, _ = run(capsys, "bound", "--gr1", "23", "--gf1", "35",
+                              "--sys", sys_row, "--par1", par1, "--par2", par2,
+                              "--n", "17", "--snr", "6", "--wmax", "2")
+        assert code == 0 and f"# d_free_eff = {dfree}\n" in report
 
 
 def test_patterns_builds_each_constituent_once(monkeypatch, capsys):
@@ -810,13 +829,13 @@ def test_search_workers_capped_at_cpu_count(monkeypatch, capsys, pools):
             "--period", "3", "--n", "120", "--top", "10")
     want = run(capsys, *argv)
     assert want[0] == 0 and pools == []
-    # screening and tie-break each start one pool of the 3 CPUs
+    # the tie-break starts one pool of the 3 CPUs; screening starts none
     assert run(capsys, *argv, "--jobs", "64") == want
-    assert pools == [3, 3]
+    assert pools == [3]
     # an unknown CPU count means one CPU: no pool at all
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert run(capsys, *argv, "--jobs", "64") == want
-    assert pools == [3, 3]
+    assert pools == [3]
 
 
 def test_verify_workers_capped_at_cpu_count(pools):

@@ -14,7 +14,7 @@ from math import lcm
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from turbobound.cwef import cwef_w2_punctured, min_weights, path_weights
+from turbobound.cwef import cwef_w2_punctured, min_weights, path_weights, weight2_table
 from turbobound.gf2 import BinaryPolynomial
 from turbobound.oracle import brute_force_cwef, exact_cwef_dp
 from turbobound.puncture import Classification, classify, probe_length
@@ -90,6 +90,9 @@ def test_probe_length_minima_match_every_path(code, pair):
     probe = cwef_w2_punctured(code, p_u, p_z, probe_length(code, m_period))
     assert min_weights(probe) == (min(u + z for u, z in weights),
                                   min(z for _, z in weights))
+    # the packed table that search screens with reads the same paths
+    table = weight2_table(code, m_period)
+    assert table.minima([(p_u, p_z)]) == {(p_u, p_z): min_weights(probe)}
 
 
 def encoded_tally(code, p_u, p_z, n, w):
