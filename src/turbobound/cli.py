@@ -15,9 +15,8 @@ import re
 import sys
 import tempfile
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from heapq import nlargest
 from itertools import combinations
 from math import comb
@@ -270,18 +269,17 @@ def cmd_patterns(args) -> int:
     return 0
 
 
-def _search_p2(payload, d_min=0):
-    """P(2) of each contender in a chunk, from the spectrum and union sum
-    that `bound` uses, clipped at the chunk's one certified horizon and
-    each distinct constituent row built once per horizon.  d_min, the
-    largest weight-2 distance among the contenders, steers the horizon:
-    a smaller one only makes rebuilds at D* likelier."""
-    code1, code2, chunk, n, rate, db = payload
+def _search_p2(code1, code2, contenders, n, rate, db, d_min):
+    """P(2) of each contender, from the spectrum and union sum that
+    `bound` uses, clipped at one certified horizon and each distinct
+    constituent row built once per horizon.  d_min, the largest weight-2
+    distance among the contenders, steers the horizon: a smaller one
+    only makes rebuilds at D* likelier."""
     total = weight2_total(code1, n) * weight2_total(code2, n)
     horizon = certified_horizon(rate, db, d_min, total)
-    cwef = cache(cwef_w2_punctured)  # held for this chunk only
+    cwef = cache(cwef_w2_punctured)  # held for this command only
     out = []
-    for sys_row, par1_row, par2_row in chunk:
+    for sys_row, par1_row, par2_row in contenders:
         def spectrum(h):
             a1 = cwef(code1, sys_row, par1_row, n, h)
             a2 = cwef(code2, (0,) * len(par2_row), par2_row, n, h)
@@ -301,19 +299,6 @@ def _rows(length: int, ones: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _chunked(seq, parts):
-    """Split seq into at most `parts` contiguous chunks of near-equal size."""
-    size = max(1, -(-len(seq) // max(1, parts)))
-    return [seq[i:i + size] for i in range(0, len(seq), size)]
-
-
-def _pool_map(fn, payloads, jobs):
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, payloads))
-    return [fn(p) for p in payloads]
-
-
 def cmd_search(args) -> int:
     codes = code1, code2 = _codes(args)
     rate = _parse_rate(args.rate)
@@ -326,8 +311,6 @@ def cmd_search(args) -> int:
         raise ValueError("search ranks at a single --snr value")
     if args.top < 1:
         raise ValueError("--top must be positive")
-    # a pool starts all its workers at once; past the CPUs they only wait
-    jobs = min(args.jobs, os.cpu_count() or 1)
     kept, rem = divmod(m * rate.denominator, rate.numerator)
     if rem or not m <= kept <= 3 * m:
         raise ValueError(f"no pattern of period {m} meets rate {rate}")
@@ -371,12 +354,8 @@ def cmd_search(args) -> int:
     threshold = nlargest(min(args.top, feasible), dfree)[-1]
     contenders = [(d, rows) for d, (rows, _, _) in zip(dfree, triples())
                   if d >= threshold]
-    payloads = [(code1, code2, [rows for _, rows in chunk], args.n, rate, grid[0])
-                for chunk in _chunked(contenders, jobs)]
-    # one horizon for every chunk, so that --jobs does not change the work
-    p2_values = [v for block in _pool_map(partial(_search_p2, d_min=max(dfree)),
-                                          payloads, jobs)
-                 for v in block]
+    p2_values = _search_p2(code1, code2, [rows for _, rows in contenders],
+                           args.n, rate, grid[0], max(dfree))
     ranked = sorted(
         ((d, p2, rows) for (d, rows), p2 in zip(contenders, p2_values)),
         key=lambda item: (-item[0], item[1],
@@ -495,8 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=20,
                    help="how many patterns to emit (default %(default)s)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the P(2) tie-break, at most "
-                        "one per CPU")
+                   help="accepted for compatibility; search runs single-threaded")
     _add_out_flag(p)
     p.set_defaults(func=cmd_search)
 

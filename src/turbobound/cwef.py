@@ -3,8 +3,13 @@
 A weight-2 input diverges from the zero state, walks the feedback
 cycle k times, and remerges kL+1 steps later, so every such codeword
 is described by its span multiplier k and its starting pattern column
-m.  The functions here turn that structure into sparse {(u, z): count}
-enumerators without touching a trellis.
+m.  One walk, _span_cycle, gives every such path's (u, z): from each
+start column it adds one period's core weight and join bit per span,
+over at most one column cycle of lcm(L, M) / L periods.  A path a
+cycle longer ends in the same column, with its parity grown by a fixed
+step, so the enumerator, the span minimum and the packed screening
+table all read that walk, and no trellis is touched.  path_weights is
+the independent reference, one path at a time.
 """
 
 from __future__ import annotations
@@ -17,8 +22,7 @@ from dataclasses import dataclass
 from itertools import compress
 from math import lcm
 
-from .puncture import (Row, as_row, extend_row, folded_core_response, probe_length,
-                       punctured_core_weights)
+from .puncture import Row, as_row, extend_row, probe_length, punctured_core_weights
 from .rsc import RscCode, weight2_parity_response
 
 
@@ -64,15 +68,58 @@ def path_weights(code: RscCode, p_u, p_z, k: int, m: int) -> tuple[int, int]:
     return u, z
 
 
+def _span_cycle(code: RscCode, p_u, p_z, k_max: int):
+    """The one walk of weight-2 paths.  For each start column m0 = 0..M-1
+    in turn, yields (paths, step): paths holds the (u, z) of the paths of
+    span multiplier k = 1..min(cycle, k_max) from column m0, in order of
+    k, with cycle = lcm(L, M) / L; step is the parity that one more
+    column cycle adds to any of them, or 0 when k_max < cycle, where no
+    path that is read lies a cycle past one walked.
+
+    Period j of a path adds its core weight, then the parity bit of its
+    join into period j + 1.  After a cycle of periods the path ends in
+    its start column again, so the path of span k + i cycle weighs
+    (u, z + i step).  Each column holds O(min(cycle, k_max))."""
+    p_u, p_z = as_row(p_u), as_row(p_z)
+    l_period, m_period = code.period, lcm(len(p_u), len(p_z))
+    pu, pz = extend_row(p_u, m_period), extend_row(p_z, m_period)
+    z_cores = punctured_core_weights(code, pz)
+    cycle = lcm(l_period, m_period) // l_period
+    walked = min(cycle, k_max)
+    diverge, y_last = code.impulse_parity[0], code.impulse_parity[-1]
+    for m0 in range(m_period):
+        # z of the open path: its diverge bit, then each period's core
+        # bits and join bit; col is the column of the latest join
+        z = opened = diverge * pz[m0]
+        col, paths = m0, []
+        for _ in range(walked):
+            z += z_cores[(col + 1) % m_period]
+            col = (col + l_period) % m_period
+            paths.append((pu[m0] + pu[col], z + pz[col]))  # remerge at col
+            z += y_last * pz[col]
+        yield paths, (z - opened if walked == cycle else 0)
+
+
+def _span_weights(walk, k: int) -> tuple[int, int]:
+    """(u, z) of the path of span multiplier k <= k_max from one column's
+    _span_cycle item."""
+    paths, step = walk
+    whole, part = divmod(k - 1, len(paths))
+    u, z = paths[part]
+    return u, z + whole * step
+
+
 def cwef_w2_punctured(code: RscCode, p_u, p_z, n: int,
                       horizon: float = math.inf) -> Cwef:
-    """Weight-2 enumerator of the punctured code: accumulate the group
-    multiplicity of every (k, m) pair onto its exact (u, z) weights.
+    """Weight-2 enumerator of the punctured code: the group multiplicity
+    of every (k, m) pair accumulated onto its exact (u, z) weights.
 
-    A path's parity weight is at least the core sum of its start column,
-    which grows with k.  So the k loop stops once every column's core
-    sum has reached horizon: the enumerator is exact at every parity
-    weight below horizon, and may lack terms at or above it."""
+    Each path of the span walk stands for an arithmetic progression of
+    paths one column cycle apart: z rises by step per cycle and the
+    starts that fit fall by lcm(L, M) / M.  A progression stops when no
+    start fits or at its first z of horizon or more, so the enumerator
+    is exact at every parity weight below horizon and lacks every term
+    at or above it."""
     p_u, p_z = as_row(p_u), as_row(p_z)
     l_period = code.period
     if n <= l_period:
@@ -80,32 +127,17 @@ def cwef_w2_punctured(code: RscCode, p_u, p_z, n: int,
                       "enumerator is empty", stacklevel=2)
         return Cwef(2, n, {})
     m_period = lcm(len(p_u), len(p_z))
-    pu = extend_row(p_u, m_period)
-    pz = extend_row(p_z, m_period)
-    z_cores = punctured_core_weights(code, pz)
-    diverge, y_last = code.impulse_parity[0], code.impulse_parity[-1]
-
+    lost = lcm(l_period, m_period) // m_period
     terms: dict[tuple[int, int], int] = {}
-    core_acc = [0] * m_period   # sum of shifted core weights over j = 0..k-1
-    wrap_acc = [0] * m_period   # sum of p_z at interior period joins, j = 1..k-1
-    for k in range(1, (n - 1) // l_period + 1):
-        base = (k - 1) * l_period
-        for m0 in range(m_period):
-            core_acc[m0] += z_cores[(m0 + 1 + base) % m_period]
-            if k >= 2:
-                wrap_acc[m0] += pz[(m0 + base) % m_period]
-        if horizon <= min(core_acc):
-            break
-        count_q, count_r = divmod(n - k * l_period, m_period)
-        span = k * l_period
-        for m0 in range(m_period):
-            count = count_q + 1 if m0 < count_r else count_q
-            if count == 0:
-                continue
-            end = (m0 + span) % m_period
-            u = pu[m0] + pu[end]
-            z = diverge * pz[m0] + core_acc[m0] + y_last * wrap_acc[m0] + pz[end]
-            terms[(u, z)] = terms.get((u, z), 0) + count
+    walks = _span_cycle(code, p_u, p_z, (n - 1) // l_period)
+    for m0, (paths, step) in enumerate(walks):
+        for k, (u, z) in enumerate(paths, 1):
+            # the starts t = m0 mod M with t + kL < n
+            count = -(-(n - k * l_period - m0) // m_period)
+            while count > 0 and z < horizon:
+                terms[u, z] = terms.get((u, z), 0) + count
+                count -= lost
+                z += step
     return Cwef(2, n, terms)
 
 
@@ -119,29 +151,8 @@ def weight2_total(code: RscCode, n: int) -> int:
 
 def weight2_span_minimum(code: RscCode, p_u, p_z, k: int) -> int:
     """The least u + z of path_weights(code, p_u, p_z, k, m) over the
-    start columns m = 1..M.  A span's column sums repeat every
-    lcm(L, M) / L periods, so each column costs one such cycle, not k."""
-    p_u, p_z = as_row(p_u), as_row(p_z)
-    l_period, m_period = code.period, lcm(len(p_u), len(p_z))
-    pu, pz = extend_row(p_u, m_period), extend_row(p_z, m_period)
-    z_cores = punctured_core_weights(code, pz)
-    cycle = lcm(l_period, m_period) // l_period
-    whole, part = divmod(k, cycle)
-    diverge, y_last = code.impulse_parity[0], code.impulse_parity[-1]
-    best = math.inf
-    for m0 in range(m_period):
-        # period j of the path starts in column m0 + jL: its core weight
-        # and the parity bit at its join, over j < min(k, cycle)
-        cols = [(m0 + j * l_period) % m_period for j in range(min(k, cycle))]
-        cores = [z_cores[(c + 1) % m_period] for c in cols]
-        joins = [pz[c] for c in cols]
-        core = whole * sum(cores) + sum(cores[:part])
-        # the joins of periods 1..k-1, between the diverge and the remerge
-        wrap = whole * sum(joins) + sum(joins[:part]) - pz[m0]
-        end = (m0 + k * l_period) % m_period
-        z = diverge * pz[m0] + core + y_last * wrap + pz[end]
-        best = min(best, pu[m0] + pu[end] + z)
-    return best
+    start columns m = 1..M, off a span walk of at most one column cycle."""
+    return min(sum(_span_weights(walk, k)) for walk in _span_cycle(code, p_u, p_z, k))
 
 
 def _minima_block(code: RscCode, m_period: int, n: int | None) -> int:
@@ -202,39 +213,29 @@ class Weight2Table:
 
 def weight2_table(code: RscCode, m_period: int, n: int | None = None) -> Weight2Table:
     """The Weight2Table of the block that weight2_minima reads for
-    period-M rows at n, built from the folded core response in
-    O(L + K M^2) for the K span multipliers that fit, without walking
-    any path's parity profile."""
+    period-M rows at n.  A path's u and z count the ones it sends in the
+    columns a row keeps, so slot p of column c is path p's weight under
+    the unit row that keeps column c alone: one span walk per column."""
     l_period = code.period
     block = _minima_block(code, m_period, n)
     if block <= l_period:
         raise ValueError(f"no weight-2 path fits in n={block} <= L={l_period}")
-    folded = folded_core_response(code, m_period)
-    diverge, y_last = code.impulse_parity[0], code.impulse_parity[-1]
-    # opened[m0][c]: the parity ones in column c of the first kL steps of
-    # the path from column m0, all of the span-kL + 1 path but its remerge
-    opened = [[diverge * (c == m0) for c in range(m_period)] for m0 in range(m_period)]
-    u_paths, z_paths = [], []
-    for k in range(1, (block - 1) // l_period + 1):
-        base = (k - 1) * l_period
-        for m0, ones in enumerate(opened):
-            # period k - 1 of the path: its join bit, then its core bits
-            if k >= 2:
-                ones[(m0 + base) % m_period] += y_last
-            shift = m0 + base + 1
-            for c in range(m_period):
-                ones[c] += folded[(c - shift) % m_period]
-        # the path from column m0 fits when some start t = m0 mod M has
-        # t + kL < block
-        for m0 in range(min(m_period, block - k * l_period)):
-            end = (m0 + k * l_period) % m_period
-            z_paths.append([b + (c == end) for c, b in enumerate(opened[m0])])
-            u_paths.append([(c == m0) + (c == end) for c in range(m_period)])
+    k_max = (block - 1) // l_period
+    # the path from column m0 fits when some start t = m0 mod M has
+    # t + kL < block
+    paths = [(k, m0) for k in range(1, k_max + 1)
+             for m0 in range(min(m_period, block - k * l_period))]
     slot = next(s for s in "BHIQ" if block + 2 < 1 << 8 * array(s).itemsize)
 
-    def columns(paths):
-        return tuple(int.from_bytes(array(slot, col).tobytes(), sys.byteorder)
-                     for col in zip(*paths))
+    def packed(slots):
+        return int.from_bytes(array(slot, slots).tobytes(), sys.byteorder)
 
-    return Weight2Table(m_period, slot, len(z_paths) * array(slot).itemsize,
-                        columns(u_paths), columns(z_paths))
+    u_cols, z_cols = [], []
+    for c in range(m_period):
+        unit = tuple(int(i == c) for i in range(m_period))
+        walks = list(_span_cycle(code, unit, unit, k_max))
+        u_slots, z_slots = zip(*(_span_weights(walks[m0], k) for k, m0 in paths))
+        u_cols.append(packed(u_slots))
+        z_cols.append(packed(z_slots))
+    return Weight2Table(m_period, slot, len(paths) * array(slot).itemsize,
+                        tuple(u_cols), tuple(z_cols))

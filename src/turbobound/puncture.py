@@ -107,28 +107,25 @@ def code_rate(punctures: PcccPunctureSet) -> Fraction:
     return Fraction(m, kept)
 
 
-def folded_core_response(code: RscCode, m_period: int) -> list[int]:
-    """The weight-2 response bits y_1..y_{L-1} summed by residue mod M:
-    entry r counts the ones that an excursion entered in column m sends
-    in column m + 1 + r, wrapping round, in O(L)."""
-    core = weight2_parity_response(code)[:code.period - 1]
-    return [sum(core[r::m_period]) for r in range(m_period)]
-
-
 def punctured_core_weights(code: RscCode, p_z) -> list[int]:
     """Parity weight of the open weight-2 excursion under each of the M
     circular shifts of the parity row: z_core^m for m = 1..M.
 
     Each z_core^m reads the response bits y_1..y_{L-1} against the row
     from column m on, wrapping round.  So the response is first folded
-    by residue mod M, in O(L), and the M sums are then the cyclic
-    correlation of the folded response with the row, in O(M^2)."""
+    by residue mod M, in O(L): entry r counts the ones that an excursion
+    entered in column m sends in column m + 1 + r.  Only the first
+    min(L - 1, M) entries can be nonzero, and the M sums, the cyclic
+    correlation of the folded response with the row, read just those,
+    in O(M min(L, M))."""
     p_z = as_row(p_z)
     m_period = len(p_z)
-    folded = folded_core_response(code, m_period)
+    core = weight2_parity_response(code)[:code.period - 1]
+    width = min(len(core), m_period)
+    folded = [sum(core[r::m_period]) for r in range(width)]
     doubled = p_z + p_z
     # the row is 0/1, so each product sum is a sum of selected entries
-    return [sum(compress(folded, doubled[m0:m0 + m_period]))
+    return [sum(compress(folded, doubled[m0:m0 + width]))
             for m0 in range(m_period)]
 
 

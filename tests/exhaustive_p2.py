@@ -80,14 +80,14 @@ def bound_configs():
                         continue
 
 
-def search_payloads():
-    """Each (payload, d_min) that search hands to its P(2) pass."""
+def search_calls():
+    """The arguments of each call that search makes to its P(2) pass."""
     captured = []
     real = cli._search_p2
 
-    def recorder(payload, d_min=0):
-        captured.append((payload, d_min))
-        return real(payload, d_min)
+    def recorder(*args):
+        captured.append(args)
+        return real(*args)
 
     cli._search_p2 = recorder
     try:
@@ -117,14 +117,14 @@ def main() -> int:
                 print(f"FAIL bound {config.code1.label()} {config.punctures} "
                       f"n={config.n} grid from {grid[0]}: {got} vs {want}", flush=True)
     bound_sums = dict(calls)
-    payloads = search_payloads()
+    search_args = search_calls()
     before = dict(calls)
     contenders = 0
-    for payload, d_min in payloads:
-        code1, code2, chunk, n, rate, db = payload
-        got = cli._search_p2(payload, d_min)
+    for args in search_args:
+        code1, code2, rows_list, n, rate, db, _ = args
+        got = cli._search_p2(*args)
         horizon = q_horizon(rate, db)
-        for rows, value in zip(chunk, got):
+        for rows, value in zip(rows_list, got):
             contenders += 1
             a1 = cwef_w2_punctured(code1, rows[0], rows[1], n, horizon)
             a2 = cwef_w2_punctured(code2, (0,) * len(rows[2]), rows[2], n, horizon)

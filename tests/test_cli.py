@@ -533,28 +533,6 @@ def test_d_free_eff_agrees_across_commands(capsys, gr, gf):
         assert free_effective_distance(PcccConfig(rsc, rsc, pset, 300)) == int(dfree)
 
 
-def test_search_jobs_splits_work(monkeypatch, tmp_path, capsys):
-    # every worker gets a chunk even when the candidates are few
-    sizes = []
-    real_pool_map = cli._pool_map
-
-    def counting_pool_map(fn, payloads, jobs):
-        sizes.append((jobs, len(payloads)))
-        return real_pool_map(fn, payloads, jobs)
-
-    monkeypatch.setattr(cli, "_pool_map", counting_pool_map)
-    reports = []
-    for jobs in ("1", "2"):
-        target = tmp_path / f"rank{jobs}.csv"
-        assert run(capsys, "search", "--gr1", "15", "--gf1", "17",
-                   "--rate", "1/2", "--period", "4", "--n", "200",
-                   "--top", "10", "--jobs", jobs, "--out", str(target))[0] == 0
-        reports.append(target.read_bytes())
-    assert reports[0] == reports[1]
-    # screening runs in the parent process; the P(2) contenders split
-    assert sizes == [(1, 1), (2, 2)]
-
-
 def naive_ranking(gr, gf, rate, m, n, db, top):
     # every candidate triple on its own: both enumerators rebuilt, the
     # library distance rule, the library P(2) of every surviving triple
@@ -807,7 +785,6 @@ def pools(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
 
@@ -824,18 +801,17 @@ def test_jobs_below_one_refused(capsys, pools, argv, jobs):
     assert pools == []
 
 
-def test_search_workers_capped_at_cpu_count(monkeypatch, capsys, pools):
+def test_search_jobs_is_inert(tmp_path, capsys, pools):
+    # search runs in one process whatever --jobs asks for
     argv = ("search", "--gr1", "7", "--gf1", "5", "--rate", "1/2",
             "--period", "3", "--n", "120", "--top", "10")
-    want = run(capsys, *argv)
-    assert want[0] == 0 and pools == []
-    # the tie-break starts one pool of the 3 CPUs; screening starts none
-    assert run(capsys, *argv, "--jobs", "64") == want
-    assert pools == [3]
-    # an unknown CPU count means one CPU: no pool at all
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert run(capsys, *argv, "--jobs", "64") == want
-    assert pools == [3]
+    outputs = []
+    for jobs in ("1", "2", "64"):
+        target = tmp_path / f"jobs{jobs}.csv"
+        assert run(capsys, *argv, "--jobs", jobs, "--out", str(target))[0] == 0
+        outputs.append(target.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert pools == []
 
 
 def test_verify_workers_capped_at_cpu_count(pools):

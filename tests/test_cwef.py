@@ -1,8 +1,12 @@
 """Closed-form weight-2 enumerators against hand counts and the oracles."""
 
+import math
 import sys
+from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import turbobound.rsc as rsc
 
@@ -192,19 +196,33 @@ def test_punctured_matches_oracles(fb, ff, p_u, p_z, n):
     assert closed.terms == brute_force_cwef(code, pu, pz, n, 2).terms
 
 
-def test_punctured_agrees_with_path_weights():
-    # every (k, m) group lands on the term its path weights predict
-    code = CODE_7_5
-    pu, pz = (1, 0), (0, 1, 1)
-    n = 25
+# the grid codes, codes whose y_L = 1, and 1+D, whose period L = 1
+# leaves every core empty
+REFERENCE_CODES = [RscCode.from_octals(*octals) for octals in (
+    ("5", "7"), ("7", "5"), ("15", "17"), ("17", "15"), ("23", "35"),
+    ("17", "7"), ("15", "5"), ("3", "1"))]
+ROWS = st.integers(1, 8).flatmap(lambda m: st.tuples(*[st.integers(0, 1)] * m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(REFERENCE_CODES), ROWS, ROWS, st.integers(0, 600),
+       st.one_of(st.just(math.inf), st.integers(1, 60)))
+@example(CODE_7_5, (1, 0), (0, 1, 1), 21, math.inf)  # n = 25
+def test_punctured_agrees_with_path_weights(code, pu, pz, extra, horizon):
+    # every (k, m) group below the horizon lands on the term its path
+    # weights predict, over blocks of up to several column cycles
+    l_period, m_period = code.period, lcm(len(pu), len(pz))
+    cycle = lcm(l_period, m_period) // l_period
+    longest = min(600, 4 * cycle * l_period + m_period + l_period)
+    n = l_period + 1 + extra % (longest - l_period)
     expected: dict[tuple[int, int], int] = {}
-    for k in range(1, (n - 1) // 3 + 1):
-        for m in range(1, 7):  # lcm(2, 3) columns
-            cnt = group_multiplicity(n, k, 3, 6, m)
-            if cnt:
-                key = path_weights(code, pu, pz, k, m)
+    for k in range(1, (n - 1) // l_period + 1):
+        for m in range(1, m_period + 1):
+            cnt = group_multiplicity(n, k, l_period, m_period, m)
+            key = path_weights(code, pu, pz, k, m)
+            if cnt and key[1] < horizon:
                 expected[key] = expected.get(key, 0) + cnt
-    assert cwef_w2_punctured(code, pu, pz, n).terms == expected
+    assert cwef_w2_punctured(code, pu, pz, n, horizon).terms == expected
 
 
 def test_weight2_response_computed_once_per_code(monkeypatch):

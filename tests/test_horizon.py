@@ -127,8 +127,8 @@ def test_search_p2_equals_the_unclipped_sum_whatever_its_d_min(config, db, d_min
     # d_min only steers the horizon: too small a one risks a rebuild at
     # D*, too large a one keeps more of the spectrum
     rows = (config.punctures.sys, config.punctures.par1, config.punctures.par2)
-    payload = (config.code1, config.code2, [rows], config.n, config.rate, db)
-    assert cli._search_p2(payload, d_min=d_min) == unclipped_p2(config, (db,))
+    assert cli._search_p2(config.code1, config.code2, [rows], config.n, config.rate,
+                          db, d_min) == unclipped_p2(config, (db,))
 
 
 def test_a_rest_that_could_change_a_sum_forces_the_rebuild_at_d_star():
@@ -174,7 +174,9 @@ def test_certified_horizon_is_the_first_distance_under_the_target(rate, ebn0_db,
 @pytest.mark.parametrize("octals", GRID_CODES, ids="/".join)
 def test_weight2_total_counts_every_enumerator(octals):
     code = RscCode.from_octals(*octals)
-    for n in range(code.period + 1, 301):
+    # at 10^5 the all-zero rows add no parity per column cycle, so their
+    # progressions run through thousands of cycles
+    for n in (*range(code.period + 1, 301), 10**5):
         want = weight2_total(code, n)
         for p_u, p_z in (((1,), (1,)), ((0, 1), (1, 1, 0)), ((0,), (0,))):
             assert cwef_w2_punctured(code, p_u, p_z, n).total() == want
@@ -218,15 +220,15 @@ def test_union_bound_curve_is_pointwise():
 @pytest.mark.parametrize("db", [6.0, 0.0, -1000.0, 3000.0])
 def test_search_tie_break_equals_union_bound_term(db):
     code = RscCode.from_octals("15", "17")
-    chunk = [((1, 0, 1), (0, 1, 1), (1, 1, 0)), ((1, 1, 0), (0, 1, 1), (1, 0, 1)),
-             ((0, 1, 1), (1, 0, 1), (1, 1, 0)), ((1, 0, 0), (0, 1, 1), (1, 1, 1))]
+    contenders = [((1, 0, 1), (0, 1, 1), (1, 1, 0)), ((1, 1, 0), (0, 1, 1), (1, 0, 1)),
+                  ((0, 1, 1), (1, 0, 1), (1, 1, 0)), ((1, 0, 0), (0, 1, 1), (1, 1, 1))]
     n, rate = 600, Fraction(1, 2)
     want = []
-    for rows in chunk:
+    for rows in contenders:
         config = PcccConfig(code, code, PcccPunctureSet(*rows), n)
         assert config.rate == rate
         want += unclipped_p2(config, (db,))
-    assert cli._search_p2((code, code, chunk, n, rate, db)) == want
+    assert cli._search_p2(code, code, contenders, n, rate, db, 0) == want
 
 
 @pytest.mark.parametrize("argv", [

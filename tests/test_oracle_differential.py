@@ -8,7 +8,8 @@ The DP, which shifts flat numpy rows, is checked against a plain dict
 pass over the same trellis, truncation flag and path total included.
 """
 
-from itertools import combinations
+import sys
+from itertools import combinations, compress
 from math import lcm
 
 from hypothesis import assume, example, given, settings
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from turbobound.cwef import cwef_w2_punctured, min_weights, path_weights, weight2_table
 from turbobound.gf2 import BinaryPolynomial
 from turbobound.oracle import brute_force_cwef, exact_cwef_dp
-from turbobound.puncture import Classification, classify, probe_length
+from turbobound.puncture import Classification, classify, extend_row, probe_length
 from turbobound.rsc import RscCode, step
 
 
@@ -90,9 +91,20 @@ def test_probe_length_minima_match_every_path(code, pair):
     probe = cwef_w2_punctured(code, p_u, p_z, probe_length(code, m_period))
     assert min_weights(probe) == (min(u + z for u, z in weights),
                                   min(z for _, z in weights))
-    # the packed table that search screens with reads the same paths
+    # the packed table that search screens with reads the same paths:
+    # the columns a row keeps sum to each path's weights, slot by slot
     table = weight2_table(code, m_period)
     assert table.minima([(p_u, p_z)]) == {(p_u, p_z): min_weights(probe)}
+    block = probe_length(code, m_period)
+    paths = [(k, m) for k in range(1, (block - 1) // code.period + 1)
+             for m in range(1, min(m_period, block - k * code.period) + 1)]
+
+    def slots(cols, row):
+        packed = sum(compress(cols, extend_row(row, m_period)))
+        return memoryview(packed.to_bytes(table.nbytes, sys.byteorder)).cast(table.slot)
+
+    assert list(zip(slots(table.u_cols, p_u), slots(table.z_cols, p_z))) \
+        == [path_weights(code, p_u, p_z, k, m) for k, m in paths]
 
 
 def encoded_tally(code, p_u, p_z, n, w):
