@@ -68,18 +68,22 @@ def path_weights(code: RscCode, p_u, p_z, k: int, m: int) -> tuple[int, int]:
     return u, z
 
 
-def _span_cycle(code: RscCode, p_u, p_z, k_max: int):
+def _span_cycle(code: RscCode, p_u, p_z, k_max: int, horizon: float = math.inf):
     """The one walk of weight-2 paths.  For each start column m0 = 0..M-1
     in turn, yields (paths, step): paths holds the (u, z) of the paths of
     span multiplier k = 1..min(cycle, k_max) from column m0, in order of
-    k, with cycle = lcm(L, M) / L; step is the parity that one more
-    column cycle adds to any of them, or 0 when k_max < cycle, where no
-    path that is read lies a cycle past one walked.
+    k, with cycle = lcm(L, M) / L; step is the parity walked past the
+    diverge bit, which after a whole cycle is what one more column cycle
+    adds to any of its paths.
 
     Period j of a path adds its core weight, then the parity bit of its
     join into period j + 1.  After a cycle of periods the path ends in
     its start column again, so the path of span k + i cycle weighs
-    (u, z + i step).  Each column holds O(min(cycle, k_max))."""
+    (u, z + i step).  Each column holds O(min(cycle, k_max)).  The open
+    path's z never falls and no path from it weighs less, so a column's
+    walk stops once that z reaches horizon: then every walked path's
+    z + step is at least horizon too.  A walk cut at k_max < cycle has
+    no path that fits a cycle past one walked."""
     p_u, p_z = as_row(p_u), as_row(p_z)
     l_period, m_period = code.period, lcm(len(p_u), len(p_z))
     pu, pz = extend_row(p_u, m_period), extend_row(p_z, m_period)
@@ -97,7 +101,9 @@ def _span_cycle(code: RscCode, p_u, p_z, k_max: int):
             col = (col + l_period) % m_period
             paths.append((pu[m0] + pu[col], z + pz[col]))  # remerge at col
             z += y_last * pz[col]
-        yield paths, (z - opened if walked == cycle else 0)
+            if z >= horizon:
+                break
+        yield paths, z - opened
 
 
 def _span_weights(walk, k: int) -> tuple[int, int]:
@@ -129,7 +135,7 @@ def cwef_w2_punctured(code: RscCode, p_u, p_z, n: int,
     m_period = lcm(len(p_u), len(p_z))
     lost = lcm(l_period, m_period) // m_period
     terms: dict[tuple[int, int], int] = {}
-    walks = _span_cycle(code, p_u, p_z, (n - 1) // l_period)
+    walks = _span_cycle(code, p_u, p_z, (n - 1) // l_period, horizon)
     for m0, (paths, step) in enumerate(walks):
         for k, (u, z) in enumerate(paths, 1):
             # the starts t = m0 mod M with t + kL < n

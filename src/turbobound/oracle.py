@@ -1,7 +1,8 @@
 """Exact enumerators computed two independent ways: a forward trellis
 dynamic program over (state, input weight, systematic weight, parity
-weight), and exhaustive enumeration of every weight-w input, each
-codeword built as the XOR of shifted impulse responses.  Both follow
+weight), or folded over transmitted weight alone, and exhaustive
+enumeration of every weight-w input, each codeword built as the XOR
+of shifted impulse responses.  Both follow
 the terminated-path convention of the closed forms: a path counts only
 if it ends the block in the zero state, with no tail appended.  A
 min-weight pass over the same trellis bounds how long an error event
@@ -47,16 +48,18 @@ _SPAN_STEP_NS, _SPAN_NODE_NS = 5000, 5.6
 
 @dataclass(frozen=True)
 class DpResult:
-    by_weight: dict[int, Cwef]
+    # {w: Cwef}, or {w: {d: count}} from a folded pass
+    by_weight: dict
     truncated: bool
     # prefix-path mass over every state at the final step; with no cap
     # this equals sum_{w <= w_max} C(n, w)
     total_paths: int
-    # {step i: the zero-state cells (w, u, d = u + z) after i steps} for
-    # each step the pass kept; cwefs_from_cells reads them
+    # {step i: the zero-state cells (w, u, d = u + z), u of size 1 when
+    # folded, after i steps} for each step the pass kept;
+    # counts_from_cells reads them
     kept: dict = field(default_factory=dict)
 
-    def for_weight(self, w: int) -> Cwef:
+    def for_weight(self, w: int):
         if w not in self.by_weight:
             raise ValueError(f"weight {w} was not enumerated")
         return self.by_weight[w]
@@ -81,7 +84,7 @@ def check_dp_limits(code: RscCode, n: int, w_max: int, d_max: int | None) -> int
         d_cap = d_max
     if sum(comb(n, w) for w in range(w_max + 1)) >= 2**62:
         raise ValueError("path counts would overflow 64-bit accumulation")
-    need = _dp_bytes(code, w_max, d_cap)
+    need = _dp_bytes(code, w_max, d_cap, w_max + 1)
     if need > DP_MEMORY_LIMIT:
         raise ValueError(
             f"the trellis pass over {code.n_states} states would need about "
@@ -89,29 +92,31 @@ def check_dp_limits(code: RscCode, n: int, w_max: int, d_max: int | None) -> int
     return d_cap
 
 
-def _dp_bytes(code: RscCode, w_max: int, d_cap: int) -> int:
+def _dp_bytes(code: RscCode, w_max: int, d_cap: int, size_u: int) -> int:
     # two int64 rows per state, and 16 transitions per state: two inputs
     # times the 8 (p_u bit, p_z bit, buffer order) keys of the pass
-    return code.n_states * (2 * 8 * (w_max + 1)**2 * (d_cap + 3) + 16 * _DP_VIEW_BYTES)
+    return code.n_states * (2 * 8 * (w_max + 1) * size_u * (d_cap + 3)
+                            + 16 * _DP_VIEW_BYTES)
 
 
 def span_step_cost(code: RscCode, w_max: int, d_cap: int, m_period: int) -> float | None:
-    """What a step of event_span_bound costs, in steps of the trellis
-    pass with d cap d_cap, or None when the certificate would hold more
-    memory than that pass."""
+    """What a step of event_span_bound costs, in steps of the folded
+    trellis pass with d cap d_cap, or None when the certificate would
+    hold more memory than that pass."""
     nodes = w_max * code.n_states * m_period
-    if nodes * _SPAN_NODE_BYTES > _dp_bytes(code, w_max, d_cap):
+    if nodes * _SPAN_NODE_BYTES > _dp_bytes(code, w_max, d_cap, 1):
         return None
-    cells = (w_max + 1)**2 * (d_cap + 3)
+    cells = (w_max + 1) * (d_cap + 3)
     dp_ns = 2 * code.n_states * (_DP_TRANSITION_NS + _DP_CELL_NS * cells)
     return (_SPAN_STEP_NS + _SPAN_NODE_NS * nodes) / dp_ns
 
 
 def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
                   d_max: int | None = None, include_w0: bool = False, *,
-                  keep=()) -> DpResult:
+                  keep=(), folded: bool = False) -> DpResult:
     """Enumerate {(u, z): count} for every input weight up to w_max by a
-    forward pass over the punctured trellis.
+    forward pass over the punctured trellis; folded, enumerate only
+    {d: count} by transmitted weight d = u + z, the u + z marginal.
 
     With d_max set, paths whose transmitted weight u + z exceeds it are
     dropped; counts for u + z <= d_max stay exact because transmitted
@@ -120,17 +125,20 @@ def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
     u + z exceeds d_max, whether or not that path would remerge; an
     uncapped pass is never truncated.  The zero-state row after i steps
     is the enumerator of block length i, so for each step i in keep
-    the same pass also returns those cells, in `kept`.
+    the same pass also returns those cells, in `kept`.  The refusals of
+    check_dp_limits are those of the unfolded pass either way.
     """
     import numpy as np  # here, so that only the commands that run the DP load it
     p_u, p_z = as_row(p_u), as_row(p_z)
     d_cap = check_dp_limits(code, n, w_max, d_max)
     n_states = code.n_states
     # one flat row per state over (w, u, d = u + z), so that a transition
-    # adds one contiguous slice at one offset; two spare d cells take
-    # what a step pushes past the cap and are cleared every step
-    size_u, size_d = w_max + 1, d_cap + 3
-    span = size_u * size_u * size_d
+    # adds one contiguous slice at one offset; folded, the u axis has
+    # one cell and a systematic bit moves d alone.  Two spare d cells
+    # take what a step pushes past the cap and are cleared every step
+    size_w, size_d = w_max + 1, d_cap + 3
+    size_u = 1 if folded else size_w
+    span = size_w * size_u * size_d
     bufs = np.zeros((2, n_states, span), dtype=np.int64)
     bufs[0, 0, 0] = 1
     # per (p_u bit, p_z bit, buffer order): the destination and source
@@ -142,7 +150,7 @@ def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
         t, _, parity = step(code, s, b)
         for pu_i, pz_i, flip in moves:
             du = b & pu_i
-            off = (b * size_u + du) * size_d + du + (parity & pz_i)
+            off = (b * size_u + (0 if folded else du)) * size_d + du + (parity & pz_i)
             moves[pu_i, pz_i, flip].append(
                 (bufs[1 - flip, t, off:], bufs[flip, s, :span - off]))
     truncated = False
@@ -161,21 +169,26 @@ def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
             truncated = bool(spare.any())
         spare[...] = 0
         if i + 1 in keep:
-            kept[i + 1] = new[0].reshape(size_u, size_u, size_d).copy()
-    final = bufs[n & 1, 0].reshape(size_u, size_u, size_d)
-    return DpResult(cwefs_from_cells(final, n, include_w0), truncated,
+            kept[i + 1] = new[0].reshape(size_w, size_u, size_d).copy()
+    final = bufs[n & 1, 0].reshape(size_w, size_u, size_d)
+    return DpResult(counts_from_cells(final, n, include_w0), truncated,
                     int(bufs[n & 1].sum()), kept)
 
 
-def cwefs_from_cells(cells, n: int, include_w0: bool = False) -> dict[int, Cwef]:
+def counts_from_cells(cells, n: int, include_w0: bool = False) -> dict:
     """The enumerators of block length n held in zero-state cells laid
-    out (w, u, d = u + z) as exact_cwef_dp keeps them, by input weight;
-    the counts may be int64 or Python ints."""
+    out (w, u, d = u + z) as exact_cwef_dp keeps them, by input weight:
+    a Cwef each, or {d: count} when the u axis is folded to one cell.
+    The counts may be int64 or Python ints."""
     by_weight = {}
     for w in range(0 if include_w0 else 1, cells.shape[0]):
         us, ds = cells[w].nonzero()
-        keys = zip(us.tolist(), (ds - us).tolist())
-        by_weight[w] = Cwef(w, n, dict(zip(keys, cells[w][us, ds].tolist())))
+        counts = cells[w][us, ds].tolist()
+        if cells.shape[1] == 1:
+            by_weight[w] = dict(zip(ds.tolist(), counts))
+        else:
+            keys = zip(us.tolist(), (ds - us).tolist())
+            by_weight[w] = Cwef(w, n, dict(zip(keys, counts)))
     return by_weight
 
 

@@ -19,7 +19,7 @@ from operator import mul
 
 from .cwef import (Cwef, cwef_w2_punctured, weight2_minima, weight2_span_minimum,
                    weight2_total)
-from .oracle import (check_dp_limits, cwefs_from_cells, event_span_bound, exact_cwef_dp,
+from .oracle import (check_dp_limits, counts_from_cells, event_span_bound, exact_cwef_dp,
                      span_step_cost)
 from .puncture import PcccPunctureSet, code_rate
 from .rsc import RscCode
@@ -97,7 +97,10 @@ def _pack(counts: dict[int, int], low: int, high: int, width: int) -> int:
 
 def _convolve(x: dict[int, int], y: dict[int, int]):
     """Exact convolution of two sparse non-negative count vectors as one
-    big-int product; yields its nonzero (index, count) pairs in order."""
+    big-int product; yields its nonzero (index, count) pairs in order,
+    none when either vector is empty."""
+    if not x or not y:
+        return
     # a product slot sums at most min(|x|, |y|) products of two counts,
     # so it stays below 256**width and never carries into the next slot
     largest = max(x.values()) * max(y.values()) * min(len(x), len(y))
@@ -162,13 +165,11 @@ def distance_spectrum(a1: Cwef, a2: Cwef, n: int, w: int,
     projected onto z.  Only the distances below horizon are kept, and
     only the terms that can reach them take part in the product."""
     _check_pair(a1, a2, n, w)
-    d1, z2 = _marginal(a1, 1, horizon), _marginal(a2, 0, horizon)
     coeffs: dict[int, int] = {}
-    if d1 and z2:
-        for d, c in _convolve(d1, z2):
-            if d >= horizon:
-                break
-            coeffs[d] = c
+    for d, c in _convolve(_marginal(a1, 1, horizon), _marginal(a2, 0, horizon)):
+        if d >= horizon:
+            break
+        coeffs[d] = c
     return IowefSlice(w, coeffs)
 
 
@@ -361,21 +362,21 @@ def p2_approximation(config: PcccConfig, ebn0_db, minima=None) -> BoundCurve:
 
 
 def constituent_cwefs(code: RscCode, p_u, p_z, n: int, w_max: int,
-                      d_max: int) -> tuple[dict[int, Cwef], bool]:
-    """The enumerators by_weight and the truncated flag of
-    exact_cwef_dp(code, p_u, p_z, n, w_max, d_max), from a pass much
-    shorter than n wherever the event span allows one and the
+                      d_max: int) -> tuple[dict[int, dict[int, int]], bool]:
+    """The {d: count} by input weight and the truncated flag of the
+    folded exact_cwef_dp(code, p_u, p_z, n, w_max, d_max), from a pass
+    much shorter than n wherever the event span allows one and the
     certificate that finds the span costs less than it saves.
 
     A terminated path of weight w <= w_max is at most j = w_max // 2
     error events, each at most S = event_span_bound(...) steps long when
     its u + z is at most d_max.  Past j S + M steps, M the pattern
-    period, each (w, u, z) count is therefore a sum of event placement
+    period, each (w, d) count is therefore a sum of event placement
     counts C(n - l + j, j) over the M residues: on each residue class of
     n mod M a polynomial in n of degree <= j.  So the pass stops at
     n0 + j M, with n0 >= j S + M in n's class, keeps the zero-state
-    enumerators at n0, n0 + M, ..., n0 + j M, and reads each count at n
-    off Newton's forward-difference formula in exact ints.  The flag is
+    counts at n0, n0 + M, ..., n0 + j M, and reads each count at n off
+    Newton's forward-difference formula in exact ints.  The flag is
     the one at n: a pass of S steps or more drops the path of a single
     1, and a pass of n drops every prefix a shorter pass drops.
     Refusals are those of the pass at n.
@@ -393,12 +394,12 @@ def constituent_cwefs(code: RscCode, p_u, p_z, n: int, w_max: int,
     if limit > 0 and weight2_span_minimum(code, p_u, p_z, -(-limit // code.period)) > d_max:
         span = event_span_bound(code, p_u, p_z, w_max, d_max, limit)
     if span is None:
-        res = exact_cwef_dp(code, p_u, p_z, n, w_max, d_max)
+        res = exact_cwef_dp(code, p_u, p_z, n, w_max, d_max, folded=True)
         return res.by_weight, res.truncated
     n0 = j * span + m_period
     n0 += (n - n0) % m_period
     steps = [n0 + i * m_period for i in range(j + 1)]
-    res = exact_cwef_dp(code, p_u, p_z, steps[-1], w_max, d_max, keep=steps)
+    res = exact_cwef_dp(code, p_u, p_z, steps[-1], w_max, d_max, keep=steps, folded=True)
     # Newton: f(q) = sum_k C(q, k) d^k f(0), where the k-th forward
     # difference d^k f(0) = sum_i (-1)^(k-i) C(k, i) f(i); gathered into
     # one integer weight per sample f(i), summed in Python ints
@@ -406,7 +407,7 @@ def constituent_cwefs(code: RscCode, p_u, p_z, n: int, w_max: int,
     weights = [sum((-1) ** (k - i) * comb(q, k) * comb(k, i) for k in range(i, j + 1))
                for i in range(j + 1)]
     cells = sum(weight * res.kept[i].astype(object) for weight, i in zip(weights, steps))
-    return cwefs_from_cells(cells, n), res.truncated
+    return counts_from_cells(cells, n), res.truncated
 
 
 @dataclass(frozen=True)
@@ -421,9 +422,10 @@ def truncated_union_bound(config: PcccConfig, w_max: int = DEFAULT_W_MAX,
                           d_max: int = DEFAULT_D_MAX, ebn0_db=()) -> TruncatedBound:
     """Union bound over input weights 2..w_max, distances capped at d_max.
 
-    Constituent enumerators come from the exact trellis pass, read at n
-    by constituent_cwefs, so every retained term is exact; dropped mass
-    is reported via the flag.
+    Constituent counts by d = u + z come from the exact folded trellis
+    pass, read at n by constituent_cwefs, so every retained term is
+    exact; dropped mass is reported via the flag.  Constituent 2 sends
+    no systematic bit, so its d is its parity weight z.
     """
     ebn0_db = tuple(float(db) for db in ebn0_db)
     if not ebn0_db:
@@ -439,17 +441,17 @@ def truncated_union_bound(config: PcccConfig, w_max: int = DEFAULT_W_MAX,
         raise ValueError(
             f"d_max={d_max} is below the smallest weight-2 distance; "
             "the bound would be vacuous")
-    (e1, t1), (e2, t2) = (constituent_cwefs(*c, config.n, w_max, d_max)
-                          for c in config.constituents())
+    c1, c2 = config.constituents()
+    assert not any(c2[1]), "constituent 2 sends a systematic bit"
+    (e1, t1), (e2, t2) = (constituent_cwefs(*c, config.n, w_max, d_max) for c in (c1, c2))
     truncated = t1 or t2
     per_weight: dict[int, tuple[float, ...]] = {}
     for w in range(2, w_max + 1):
-        sl = distance_spectrum(e1[w], e2[w], config.n, w)
-        kept = {d: c for d, c in sl.coeffs.items() if d <= d_max}
-        if len(kept) < len(sl.coeffs):
-            truncated = True
-        sl = IowefSlice(w, kept)
-        per_weight[w] = union_bound_curve(sl, config.n, config.rate, ebn0_db)
+        spectrum = dict(_convolve(e1[w], e2[w]))
+        kept = {d: c for d, c in spectrum.items() if d <= d_max}
+        truncated |= len(kept) < len(spectrum)
+        per_weight[w] = union_bound_curve(IowefSlice(w, kept), config.n, config.rate,
+                                          ebn0_db)
     totals = [math.fsum(per_weight[w][i] for w in per_weight)
               for i in range(len(ebn0_db))]
     curve = BoundCurve(_as_points(totals, ebn0_db), label=f"union_w{w_max}")

@@ -2,10 +2,12 @@
 
 For every case of the verification grid, the weight-3 enumerator of
 exact_cwef_dp must equal the one brute_force_cwef builds by encoding
-every weight-3 input, and the pass, which has no distance cap, must not
-report itself truncated.  The grid's largest block, n = 200, has
-C(200, 3) = 1,313,400 such inputs, so the full grid takes minutes.  The
-file name does not match test_*.py, so pytest does not collect it.
+every weight-3 input, the folded pass, which counts d = u + z alone,
+must equal that enumerator's u + z marginal, and neither pass, which
+has no distance cap, may report itself truncated.  The grid's largest
+block, n = 200, has C(200, 3) = 1,313,400 such inputs, so the full grid
+takes minutes.  The file name does not match test_*.py, so pytest does
+not collect it.
 
     PYTHONPATH=src python tests/exhaustive_w3.py
 
@@ -19,6 +21,7 @@ from turbobound.oracle import (brute_force_cwef, default_verification_grid,
                                diff_cwefs, exact_cwef_dp)
 from turbobound.puncture import row_from_string
 from turbobound.rsc import RscCode
+from test_oracle_differential import distance_counts
 
 
 def main() -> int:
@@ -29,17 +32,20 @@ def main() -> int:
         code = RscCode.from_octals(case.feedback, case.feedforward)
         p_u, p_z = row_from_string(case.p_u), row_from_string(case.p_z)
         res = exact_cwef_dp(code, p_u, p_z, case.n, w_max=3)
+        folded = exact_cwef_dp(code, p_u, p_z, case.n, w_max=3, folded=True)
+        brute = brute_force_cwef(code, p_u, p_z, case.n, 3)
         problems = []
-        mismatch = diff_cwefs(res.for_weight(3),
-                              brute_force_cwef(code, p_u, p_z, case.n, 3))
+        mismatch = diff_cwefs(res.for_weight(3), brute)
         if mismatch:
             problems.append(mismatch)
-        if res.truncated:
-            problems.append("the uncapped pass reports truncated")
+        if folded.for_weight(3) != distance_counts(brute):
+            problems.append("the folded pass is not the u + z marginal")
+        if res.truncated or folded.truncated:
+            problems.append("an uncapped pass reports truncated")
         if problems:
             failed += 1
             print(f"FAIL {case.label()} :: {'; '.join(problems)}", flush=True)
-    print(f"# w = 3, trellis DP vs brute force: {len(cases) - failed}/"
+    print(f"# w = 3, trellis DP, split and folded, vs brute force: {len(cases) - failed}/"
           f"{len(cases)} cases agree ({time.perf_counter() - start:.0f} s)")
     return 1 if failed else 0
 

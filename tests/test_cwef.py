@@ -208,6 +208,10 @@ ROWS = st.integers(1, 8).flatmap(lambda m: st.tuples(*[st.integers(0, 1)] * m))
 @given(st.sampled_from(REFERENCE_CODES), ROWS, ROWS, st.integers(0, 600),
        st.one_of(st.just(math.inf), st.integers(1, 60)))
 @example(CODE_7_5, (1, 0), (0, 1, 1), 21, math.inf)  # n = 25
+# n = 200, h = 5: each column's walk stops at the horizon after one or
+# two of its 12 spans while 28 fit in the block, so the paths a cycle
+# on must still weigh h or more
+@example(CODE_15_17, (1, 0, 1), (1, 1, 0, 1), 192, 5)
 def test_punctured_agrees_with_path_weights(code, pu, pz, extra, horizon):
     # every (k, m) group below the horizon lands on the term its path
     # weights predict, over blocks of up to several column cycles

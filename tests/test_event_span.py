@@ -1,12 +1,12 @@
 """The event-span certificate and the bound path's shortened trellis pass.
 
-`constituent_cwefs` must give exactly what `exact_cwef_dp` gives at the
-requested n, flag included, whether it reads the counts off a shorter
-pass or falls back to the pass at n.  `event_span_bound` must bound the
-span of every weight-2 path the closed form knows, and its zero-weight
-cycle screen must agree with walking every cycle.  A weight-2 path that
-already outlasts the walk's limit within d_max skips the walk, which
-could only give up.
+`constituent_cwefs` must give exactly the u + z marginal of what
+`exact_cwef_dp` gives at the requested n, flag included, whether it
+reads the counts off a shorter folded pass or falls back to the folded
+pass at n.  `event_span_bound` must bound the span of every weight-2
+path the closed form knows, and its zero-weight cycle screen must agree
+with walking every cycle.  A weight-2 path that already outlasts the
+walk's limit within d_max skips the walk, which could only give up.
 """
 
 from itertools import product
@@ -24,7 +24,7 @@ from turbobound.oracle import GRID_CODES, event_span_bound, exact_cwef_dp, span_
 from turbobound.pccc import constituent_cwefs
 from turbobound.puncture import pseudo_random_pattern
 from turbobound.rsc import RscCode, step
-from test_oracle_differential import codes, rows
+from test_oracle_differential import codes, distance_counts, rows
 
 CODE_15_17 = RscCode.from_octals("15", "17")
 
@@ -46,8 +46,7 @@ def assert_matches_dp(code, p_u, p_z, n, w_max, d_max):
     res = exact_cwef_dp(code, p_u, p_z, n, w_max, d_max)
     assert truncated == res.truncated
     for w in range(2, w_max + 1):
-        assert by_weight[w].n == n
-        assert by_weight[w].terms == res.for_weight(w).terms, w
+        assert by_weight[w] == distance_counts(res.for_weight(w)), w
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,19 +5,22 @@ random codes and puncturing rows.  The exhaustive oracle builds each
 codeword by superposing shifted impulse responses, so it is also checked
 against plain encoding of every input, which does not lean on linearity.
 The DP, which shifts flat numpy rows, is checked against a plain dict
-pass over the same trellis, truncation flag and path total included.
+pass over the same trellis, truncation flag and path total included,
+and its folded layout, which counts d = u + z alone, against its split
+(w, u, d) layout.
 """
 
 import sys
 from itertools import combinations, compress
 from math import lcm
 
+import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from turbobound.cwef import cwef_w2_punctured, min_weights, path_weights, weight2_table
 from turbobound.gf2 import BinaryPolynomial
-from turbobound.oracle import brute_force_cwef, exact_cwef_dp
+from turbobound.oracle import GRID_CODES, brute_force_cwef, exact_cwef_dp
 from turbobound.puncture import Classification, classify, extend_row, probe_length
 from turbobound.rsc import RscCode, step
 
@@ -163,3 +166,29 @@ def test_dp_matches_dict_trellis(code, p_u, p_z, n, w_max, d_max):
         code, p_u, p_z, n, w_max, n + w_max if d_max is None else d_max)
     assert {w: c.terms for w, c in res.by_weight.items() if c.terms} == by_weight
     assert (res.truncated, res.total_paths) == (truncated, total)
+
+
+def distance_counts(cwef):
+    """The u + z marginal of an enumerator: {d: count}."""
+    out = {}
+    for (u, z), count in cwef.terms.items():
+        out[u + z] = out.get(u + z, 0) + count
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(GRID_CODES), rows(8), rows(8), st.integers(1, 200),
+       st.integers(1, 4), st.one_of(st.none(), st.integers(1, 60)), st.booleans(),
+       st.data())
+def test_folded_pass_is_the_split_pass_summed_over_u(octals, p_u, p_z, n, w_max, d_max,
+                                                    include_w0, data):
+    code = RscCode.from_octals(*octals)
+    keep = data.draw(st.sets(st.integers(1, n), max_size=3))
+    split = exact_cwef_dp(code, p_u, p_z, n, w_max, d_max, include_w0, keep=keep)
+    folded = exact_cwef_dp(code, p_u, p_z, n, w_max, d_max, include_w0, keep=keep,
+                           folded=True)
+    assert folded.by_weight == {w: distance_counts(c) for w, c in split.by_weight.items()}
+    assert (folded.truncated, folded.total_paths) == (split.truncated, split.total_paths)
+    assert folded.kept.keys() == split.kept.keys() == keep
+    for i, cells in split.kept.items():
+        assert np.array_equal(folded.kept[i], cells.sum(axis=1, keepdims=True)), i
