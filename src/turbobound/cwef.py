@@ -170,12 +170,19 @@ def _minima_block(code: RscCode, m_period: int, n: int | None) -> int:
 
 def weight2_minima(code: RscCode, p_u, p_z, n: int | None = None) -> tuple[int, int]:
     """min_weights over the weight-2 paths of an n-step block, or of any
-    block when n is None, from the enumerator at probe_length or at a
-    shorter n: the one source of the minima that commands reading one
-    row pair at a time use, and the reference for Weight2Table."""
+    block when n is None, as running minima of the span walk at probe_length
+    or a shorter n: the source for one row pair, Weight2Table's reference."""
     p_u, p_z = as_row(p_u), as_row(p_z)
     block = _minima_block(code, lcm(len(p_u), len(p_z)), n)
-    return min_weights(cwef_w2_punctured(code, p_u, p_z, block))
+    walks = _span_cycle(code, p_u, p_z, (block - 1) // code.period)
+    # the path of span kL + 1 from column m0 fits when m0 + kL < block,
+    # and a walked path is the lightest of its progression, as step >= 0
+    least = [(min(u + z for u, z in fits), min(z for _, z in fits))
+             for m0, (paths, _) in zip(range(block), walks)
+             if (fits := paths[:(block - m0 - 1) // code.period])]
+    if not least:  # no path fits: the enumerator warns and min_weights refuses
+        return min_weights(cwef_w2_punctured(code, p_u, p_z, block))
+    return tuple(map(min, zip(*least)))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import os
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import combinations, product, starmap
+from itertools import accumulate, combinations, product
 from math import comb, gcd, lcm
 from operator import xor
 
@@ -27,6 +26,7 @@ from .puncture import (Classification, as_row, classify, extend_row,
 from .rsc import RscCode, step
 
 BRUTE_FORCE_LIMIT = 10**7
+_BRUTE_BLOCK = 1 << 13  # bounds the tails in one block of brute_force_cwef
 DP_W_LIMIT = 6
 DP_D_LIMIT = 512
 # without a parity cap the z axis spans the whole block
@@ -55,8 +55,8 @@ class DpResult:
     # this equals sum_{w <= w_max} C(n, w)
     total_paths: int
     # {step i: the zero-state cells (w, u, d = u + z), u of size 1 when
-    # folded, after i steps} for each step the pass kept;
-    # counts_from_cells reads them
+    # folded, after i steps, of the pass's int32 or int64 dtype} for each
+    # step the pass kept; counts_from_cells reads them
     kept: dict = field(default_factory=dict)
 
     def for_weight(self, w: int):
@@ -125,8 +125,10 @@ def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
     u + z exceeds d_max, whether or not that path would remerge; an
     uncapped pass is never truncated.  The zero-state row after i steps
     is the enumerator of block length i, so for each step i in keep
-    the same pass also returns those cells, in `kept`.  The refusals of
-    check_dp_limits are those of the unfolded pass either way.
+    the same pass also returns those cells, in `kept`.  They are int32
+    when the sum_{w <= w_max} C(n, w) paths, which bound every cell, are
+    fewer than 2^31.  The refusals of check_dp_limits are those of the
+    unfolded pass either way.
     """
     import numpy as np  # here, so that only the commands that run the DP load it
     p_u, p_z = as_row(p_u), as_row(p_z)
@@ -139,7 +141,8 @@ def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
     size_w, size_d = w_max + 1, d_cap + 3
     size_u = 1 if folded else size_w
     span = size_w * size_u * size_d
-    bufs = np.zeros((2, n_states, span), dtype=np.int64)
+    dtype = np.int32 if sum(comb(n, w) for w in range(size_w)) < 2**31 else np.int64
+    bufs = np.zeros((2, n_states, span), dtype=dtype)
     bufs[0, 0, 0] = 1
     # per (p_u bit, p_z bit, buffer order): the destination and source
     # views of every transition; the offset of a 1 input spans a whole
@@ -172,14 +175,14 @@ def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
             kept[i + 1] = new[0].reshape(size_w, size_u, size_d).copy()
     final = bufs[n & 1, 0].reshape(size_w, size_u, size_d)
     return DpResult(counts_from_cells(final, n, include_w0), truncated,
-                    int(bufs[n & 1].sum()), kept)
+                    int(bufs[n & 1].sum(dtype=np.int64)), kept)
 
 
 def counts_from_cells(cells, n: int, include_w0: bool = False) -> dict:
     """The enumerators of block length n held in zero-state cells laid
     out (w, u, d = u + z) as exact_cwef_dp keeps them, by input weight:
     a Cwef each, or {d: count} when the u axis is folded to one cell.
-    The counts may be int64 or Python ints."""
+    The counts may be int32, int64 or Python ints."""
     by_weight = {}
     for w in range(0 if include_w0 else 1, cells.shape[0]):
         us, ds = cells[w].nonzero()
@@ -295,33 +298,43 @@ def brute_force_cwef(code: RscCode, p_u, p_z, n: int, w: int) -> Cwef:
         return Cwef(0, n, {(0, 0): 1})
     if comb(n, w) > BRUTE_FORCE_LIMIT:
         raise ValueError(f"C({n},{w}) exceeds the brute-force limit {BRUTE_FORCE_LIMIT}")
-    nu, block = code.nu, (1 << n) - 1
-    # a single 1 at time 0: the state after each step, the parity bits
-    states, resp, state = [], 0, 0
-    for t in range(n):
-        state, _, parity = step(code, state, int(t == 0))
-        states.append(state)
-        resp |= parity << t
-    # a 1 at position p as one int: its end state in the low nu bits,
-    # the n input bits above them, the n parity bits on top
-    impulses = [states[n - 1 - p] | 1 << (nu + p) | (resp << p & block) << (nu + n)
-                for p in range(n)]
-    pu_mask = sum(p_u[i % len(p_u)] << i for i in range(n)) << nu
-    pz_mask = sum(p_z[i % len(p_z)] << i for i in range(n)) << (nu + n)
-    state_mask = (1 << nu) - 1
-    words = (starmap(xor, combinations(impulses, 2)) if w == 2
-             else map(partial(reduce, xor), combinations(impulses, w)))
-    merged = [word for word in words if not word & state_mask]
-    if w == 2:
-        # remerge happens exactly at separations that are multiples of
-        # the feedback period, never anywhere else
-        ones = [word >> nu & block for word in merged]
-        if (any((x.bit_length() - (x & -x).bit_length()) % code.period for x in ones)
-                or len(ones) != sum(range(n - code.period, 0, -code.period))):
-            raise AssertionError("weight-2 remerge structure violated")
-    terms = Counter(((word & pu_mask).bit_count(), (word & pz_mask).bit_count())
-                    for word in merged)
-    return Cwef(w, n, dict(terms))
+    import numpy as np
+    # the state and the parity bit after each step of a single 1 at time 0
+    table = [[step(code, s, b) for b in (0, 1)] for s in range(code.n_states)]
+    walk = accumulate(range(n - 1), lambda last, _: table[last[0]][0], initial=table[0][1])
+    states, _, resp = zip(*walk)
+    # a 1 at position p: its end state, its punctured systematic bit and
+    # its punctured parity bits p..n-1, packed
+    pos = np.arange(n)
+    end, sys_bits = np.array(states[::-1]), np.take(p_u, pos, mode="wrap")
+    shifted = np.lib.stride_tricks.sliding_window_view(
+        np.array((0,) * (n - 1) + resp, dtype=np.uint8), n)[::-1]
+    rows = np.packbits(shifted & np.take(p_z, pos, mode="wrap").astype(np.uint8), axis=1)
+    byte_ones = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
+    # the tails, the last min(w, 2) 1s of an input, in lexicographic order
+    # and in blocks of whole rows, about _BRUTE_BLOCK tails each
+    tally = np.zeros((w + 1) * (n + 1), dtype=np.int64)
+    for at in np.array_split(pos, -(-n * n // _BRUTE_BLOCK)):
+        first, second = np.nonzero(at[:, None] < pos)
+        tails = (at.take(first), second) if w > 1 else (at,)
+        tail_state = reduce(xor, (end.take(c) for c in tails))
+        # a lead's tails start past its last 1, so it ends before the last row
+        for lead in combinations(range(at.max(initial=0)), w - len(tails)):
+            skip = tails[0].searchsorted(max(lead, default=-1), "right")
+            hit = skip + np.flatnonzero(tail_state[skip:] == reduce(xor, end.take(lead), 0))
+            ones = [c.take(hit) for c in tails] + [[p] for p in lead]
+            if w == 2 and ((ones[1] - ones[0]) % code.period).any():
+                # remerge happens exactly at separations that are
+                # multiples of the feedback period, never anywhere else
+                raise AssertionError("weight-2 remerge structure violated")
+            parity = reduce(xor, (rows.take(c, axis=0) for c in ones))
+            z = byte_ones.take(parity).sum(axis=1, dtype=np.int64)
+            u = sum(sys_bits.take(c) for c in ones)
+            tally += np.bincount(u * (n + 1) + z, minlength=tally.size)
+    if w == 2 and tally.sum() != sum(range(n - code.period, 0, -code.period)):
+        raise AssertionError("weight-2 remerge structure violated")
+    u, z = np.divmod(np.flatnonzero(tally), n + 1)
+    return Cwef(w, n, dict(zip(zip(u.tolist(), z.tolist()), tally[tally > 0].tolist())))
 
 
 def diff_cwefs(a: Cwef, b: Cwef, limit: int = 6) -> str | None:

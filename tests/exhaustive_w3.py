@@ -5,9 +5,9 @@ exact_cwef_dp must equal the one brute_force_cwef builds by encoding
 every weight-3 input, the folded pass, which counts d = u + z alone,
 must equal that enumerator's u + z marginal, and neither pass, which
 has no distance cap, may report itself truncated.  The grid's largest
-block, n = 200, has C(200, 3) = 1,313,400 such inputs, so the full grid
-takes minutes.  The file name does not match test_*.py, so pytest does
-not collect it.
+block, n = 200, has C(200, 3) = 1,313,400 such inputs, encoded in numpy
+blocks, so the full grid takes seconds.  The file name does not match
+test_*.py, so pytest does not collect it.
 
     PYTHONPATH=src python tests/exhaustive_w3.py
 

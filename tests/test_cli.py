@@ -176,17 +176,35 @@ def count_cwef_builds(monkeypatch, *modules):
     return calls
 
 
+def count_span_walks(monkeypatch):
+    """Record the k_max of every weight-2 span walk: one per minima read,
+    and one per enumerator built."""
+    walks = []
+    real = cwef._span_cycle
+
+    def counted(code, p_u, p_z, k_max, *args):
+        walks.append(k_max)
+        return real(code, p_u, p_z, k_max, *args)
+
+    monkeypatch.setattr(cwef, "_span_cycle", counted)
+    return walks
+
+
 def test_bound_computes_constituent_cwefs_once(monkeypatch, capsys):
-    # d_free_eff reads the two probe-length minima, P(2) builds the pair
-    # at n once, and no cache carries either over to the next command
+    # d_free_eff walks the two probe-length minima (61 steps, spans
+    # k <= 4), P(2) builds the pair at n once (k <= 82), and no cache
+    # carries either over to the next command
     calls = count_cwef_builds(monkeypatch, cwef, pccc)
+    walks = count_span_walks(monkeypatch)
     for _ in range(2):
         calls.clear()
+        walks.clear()
         code, out, _ = run(capsys, "bound", "--gr1", "23", "--gf1", "35",
                            "--pseudo", "A", "--n", "1234", "--snr", "2:4:1",
                            "--wmax", "2")
         assert code == 0 and "# d_free_eff = 16" in out
-        assert sorted(args[3] for args in calls) == [61, 61, 1234, 1234]
+        assert [args[3] for args in calls] == [1234, 1234]
+        assert sorted(walks) == [4, 4, 82, 82]
 
 
 def test_bound_refuses_before_building_at_n(monkeypatch, capsys):
@@ -195,13 +213,15 @@ def test_bound_refuses_before_building_at_n(monkeypatch, capsys):
         raise AssertionError("enumerator built at n before the refusal")
 
     calls = count_cwef_builds(monkeypatch, cwef)
+    walks = count_span_walks(monkeypatch)
     monkeypatch.setattr(pccc, "cwef_w2_punctured", built_at_n)
     code, out, err = run(capsys, "bound", "--gr1", "23", "--gf1", "35",
                          "--pseudo", "A", "--n", "1000000", "--wmax", "4")
     assert code == 2 and out == ""
     assert "path counts would overflow 64-bit accumulation" in err
-    # d_free_eff and the --dmax vacuity check each read the two minima
-    assert [args[3] for args in calls] == [61, 61, 61, 61]
+    # d_free_eff and the --dmax vacuity check each walk the two minima at
+    # the probe length, 61 steps (spans k <= 4), and build no enumerator
+    assert calls == [] and walks == [4, 4, 4, 4]
 
 
 def test_bound_reads_a_large_n_off_a_short_pass(monkeypatch, capsys):
@@ -609,9 +629,10 @@ def test_search_screens_a_short_block_as_bound_reads_it(capsys):
 
 
 def test_patterns_builds_each_constituent_once(monkeypatch, capsys):
-    # the classification and the minima lines read one enumerator and one
-    # core-weight list per constituent
+    # the classification and the minima lines read one span walk and one
+    # core-weight list per constituent, and build no enumerator
     calls = count_cwef_builds(monkeypatch, cwef)
+    walks = count_span_walks(monkeypatch)
     cores = []
     real_cores = puncture.punctured_core_weights
 
@@ -624,7 +645,7 @@ def test_patterns_builds_each_constituent_once(monkeypatch, capsys):
     code, out, _ = run(capsys, "patterns", "--gr1", "15", "--gf1", "17",
                        "--pseudo", "B")
     assert code == 0 and "constituent 2 (15/17): Normal" in out
-    assert len(calls) == 2 and len(cores) == 2
+    assert calls == [] and len(walks) == 2 and len(cores) == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 import turbobound.oracle as oracle
@@ -59,6 +60,20 @@ def test_dp_weight_zero_slice():
         bare.for_weight(0)
     with pytest.raises(ValueError):
         bare.for_weight(3)
+
+
+def test_dp_cells_wide_enough_for_every_path():
+    # sum_{w <= 5} C(1000, w) paths would wrap int32 cells, so the pass
+    # holds int64 ones; sum_{w <= 3} C(2048, w) = 1,431,657,473 < 2^31
+    # paths fit int32 cells
+    code = RscCode.from_octals("5", "7")
+    wide = exact_cwef_dp(code, ONES, ONES, 1000, 5, keep=(1000,))
+    assert wide.kept[1000].dtype == np.int64
+    assert wide.total_paths == sum(comb(1000, w) for w in range(6)) == 8_291_875_042_451
+    narrow = exact_cwef_dp(code, ONES, ONES, 2048, 3, keep=(2048,))
+    assert narrow.kept[2048].dtype == np.int32
+    assert narrow.total_paths == sum(comb(2048, w) for w in range(4)) == 1_431_657_473
+    assert narrow.for_weight(2).terms == cwef_w2_punctured(code, ONES, ONES, 2048).terms
 
 
 def test_dp_total_paths():
@@ -152,6 +167,28 @@ def test_brute_force_matches_dp(w):
     dp = exact_cwef_dp(CODE_15_17, pu, pz, 60, 3)
     bf = brute_force_cwef(CODE_15_17, pu, pz, 60, w)
     assert dp.for_weight(w).terms == bf.terms
+
+
+@pytest.mark.parametrize("block", [oracle._BRUTE_BLOCK, 200])
+@pytest.mark.parametrize("w, n", [(3, 80), (4, 40)])
+def test_brute_force_matches_dp_across_blocks(monkeypatch, w, n, block):
+    # the inputs' last two 1s come in blocks of whole rows of pairs; with
+    # blocks of 200 or fewer, each lead meets its tails across many blocks
+    monkeypatch.setattr(oracle, "_BRUTE_BLOCK", block)
+    pu, pz = (1, 0), (0, 1, 1)
+    dp = exact_cwef_dp(CODE_15_17, pu, pz, n, w)
+    assert brute_force_cwef(CODE_15_17, pu, pz, n, w).terms == dp.for_weight(w).terms
+
+
+def test_brute_force_edge_weights_match_dp():
+    # a weight-1 input never remerges, more 1s than positions give no
+    # input, and a single position holds no pair: all as the DP counts
+    for code in (CODE_15_17, RscCode.from_octals("5", "7")):
+        for n in range(1, 6):
+            dp = exact_cwef_dp(code, (1, 0), ONES, n, 6)
+            for w in range(1, 7):
+                assert brute_force_cwef(code, (1, 0), ONES, n, w).terms \
+                    == dp.for_weight(w).terms, (code.label(), n, w)
 
 
 def test_diff_cwefs():

@@ -18,7 +18,8 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from turbobound.cwef import cwef_w2_punctured, min_weights, path_weights, weight2_table
+from turbobound.cwef import (cwef_w2_punctured, min_weights, path_weights, weight2_minima,
+                             weight2_table)
 from turbobound.gf2 import BinaryPolynomial
 from turbobound.oracle import GRID_CODES, brute_force_cwef, exact_cwef_dp
 from turbobound.puncture import Classification, classify, extend_row, probe_length
@@ -80,10 +81,10 @@ def row_pairs(draw, max_period=12):
 
 
 @settings(max_examples=300, deadline=None)
-@given(codes(), row_pairs())
+@given(codes(), row_pairs(), st.integers(0, 10**6))
 # 5/7 (L = 2) at M = 5: the zero-weight span k = 5 starts in column 5
-@example(RscCode.from_octals("5", "7"), ((1, 1, 1, 0, 1), (0, 0, 0, 0, 0)))
-def test_probe_length_minima_match_every_path(code, pair):
+@example(RscCode.from_octals("5", "7"), ((1, 1, 1, 0, 1), (0, 0, 0, 0, 0)), 0)
+def test_probe_length_minima_match_every_path(code, pair, cut):
     # the enumerator at probe_length sees the smallest weights of every
     # span up to one column cycle at every start column
     p_u, p_z = pair
@@ -94,6 +95,12 @@ def test_probe_length_minima_match_every_path(code, pair):
     probe = cwef_w2_punctured(code, p_u, p_z, probe_length(code, m_period))
     assert min_weights(probe) == (min(u + z for u, z in weights),
                                   min(z for _, z in weights))
+    # the running minimum over the span walk reads the same paths, at
+    # the probe length and at a shorter block where some do not fit
+    assert weight2_minima(code, p_u, p_z) == min_weights(probe)
+    short = code.period + 1 + cut % (probe_length(code, m_period) - code.period)
+    assert weight2_minima(code, p_u, p_z, short) \
+        == min_weights(cwef_w2_punctured(code, p_u, p_z, short))
     # the packed table that search screens with reads the same paths:
     # the columns a row keeps sum to each path's weights, slot by slot
     table = weight2_table(code, m_period)
@@ -125,8 +132,10 @@ def encoded_tally(code, p_u, p_z, n, w):
 
 
 @settings(max_examples=60, deadline=None)
-@given(codes(), rows(8), rows(8), st.integers(1, 24), st.sampled_from((1, 2, 3)))
-def test_superposition_matches_direct_encoding(code, p_u, p_z, n, w):
+@given(codes(), rows(8), rows(8), st.sampled_from((1, 2, 3, 4)).flatmap(
+    lambda w: st.tuples(st.integers(1, 16 if w == 4 else 24), st.just(w))))
+def test_superposition_matches_direct_encoding(code, p_u, p_z, size):
+    n, w = size
     assert brute_force_cwef(code, p_u, p_z, n, w).terms \
         == encoded_tally(code, p_u, p_z, n, w)
 
