@@ -25,9 +25,8 @@ from . import __version__
 from .cwef import cwef_w2_punctured, weight2_minima, weight2_table, weight2_total
 from .oracle import DP_D_LIMIT, DP_W_LIMIT, run_verification
 from .pccc import (DEFAULT_D_MAX, DEFAULT_W_MAX, PcccConfig, certified_horizon,
-                   certified_p2, constituent_minima, d_free_eff,
-                   distance_spectrum, free_effective_distance,
-                   p2_approximation, truncated_union_bound)
+                   certified_p2, d_free_eff, distance_spectrum,
+                   free_effective_distance, p2_approximation, truncated_union_bound)
 # not called here; the benchmark harness self-test traces cli.p2_slice
 from .pccc import p2_slice  # noqa: F401
 from .puncture import (PcccPunctureSet, classification, code_rate,
@@ -85,10 +84,9 @@ def _parse_snr(text: str) -> tuple[float, ...]:
     return tuple(start + i * step for i in range(int(span) + 1))
 
 
-def _snr_text(grid: tuple[float, ...]) -> str:
-    if len(grid) == 1:
-        return repr(grid[0])
-    return f"{grid[0]!r}:{grid[-1]!r}:{grid[1] - grid[0]!r}"
+def _snr_text(text: str) -> str:
+    """An --snr value as parsed, which parses back to the same grid."""
+    return ":".join(repr(float(p)) for p in text.split(":"))
 
 
 def _parse_rate(text: str) -> Fraction:
@@ -194,17 +192,16 @@ def cmd_bound(args) -> int:
         raise ValueError(f"--dmax must lie in [1, {DP_D_LIMIT}]")
     grid = _parse_snr(args.snr)
     config = PcccConfig(code1, code2, pset, args.n)
-    minima = constituent_minima(config)
-    dfree = free_effective_distance(config, minima)
+    dfree = free_effective_distance(config)
     # the DP refuses what it cannot count before any P(2) work is done
     if args.wmax > 2:
         tb = truncated_union_bound(config, args.wmax, args.dmax, grid)
-    p2_curve = p2_approximation(config, grid, minima)
+    p2_curve = p2_approximation(config, grid)
 
     entries = {
         "sys": row_to_string(pset.sys), "par1": row_to_string(pset.par1),
         "par2": row_to_string(pset.par2), "n": args.n,
-        "snr": _snr_text(grid), "wmax": args.wmax, "dmax": args.dmax,
+        "snr": _snr_text(args.snr), "wmax": args.wmax, "dmax": args.dmax,
         "code_rate": config.rate, "d_free_eff": dfree,
     }
     rows = []
@@ -358,11 +355,10 @@ def cmd_search(args) -> int:
                            args.n, rate, grid[0], max(dfree))
     ranked = sorted(
         ((d, p2, rows) for (d, rows), p2 in zip(contenders, p2_values)),
-        key=lambda item: (-item[0], item[1],
-                          tuple(row_to_string(r) for r in item[2])))
+        key=lambda item: (-item[0], item[1], item[2]))
 
     entries = {
-        "rate": rate, "period": m, "n": args.n, "snr": _snr_text(grid),
+        "rate": rate, "period": m, "n": args.n, "snr": _snr_text(args.snr),
         "top": args.top, "candidates": count, "feasible": feasible,
     }
     header = "rank,sys,par1,par2,d_free_eff,p2"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import reduce
 from itertools import accumulate, combinations, product
 from math import comb, gcd, lcm
 from operator import xor
@@ -112,8 +112,7 @@ def span_step_cost(code: RscCode, w_max: int, d_cap: int, m_period: int) -> floa
 
 
 def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
-                  d_max: int | None = None, include_w0: bool = False, *,
-                  keep=(), folded: bool = False) -> DpResult:
+                  d_max: int | None = None, *, keep=(), folded: bool = False) -> DpResult:
     """Enumerate {(u, z): count} for every input weight up to w_max by a
     forward pass over the punctured trellis; folded, enumerate only
     {d: count} by transmitted weight d = u + z, the u + z marginal.
@@ -174,17 +173,17 @@ def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,
         if i + 1 in keep:
             kept[i + 1] = new[0].reshape(size_w, size_u, size_d).copy()
     final = bufs[n & 1, 0].reshape(size_w, size_u, size_d)
-    return DpResult(counts_from_cells(final, n, include_w0), truncated,
+    return DpResult(counts_from_cells(final, n), truncated,
                     int(bufs[n & 1].sum(dtype=np.int64)), kept)
 
 
-def counts_from_cells(cells, n: int, include_w0: bool = False) -> dict:
+def counts_from_cells(cells, n: int) -> dict:
     """The enumerators of block length n held in zero-state cells laid
-    out (w, u, d = u + z) as exact_cwef_dp keeps them, by input weight:
-    a Cwef each, or {d: count} when the u axis is folded to one cell.
-    The counts may be int32, int64 or Python ints."""
+    out (w, u, d = u + z) as exact_cwef_dp keeps them, by input weight
+    w >= 1: a Cwef each, or {d: count} when the u axis is folded to one
+    cell.  The counts may be int32, int64 or Python ints."""
     by_weight = {}
-    for w in range(0 if include_w0 else 1, cells.shape[0]):
+    for w in range(1, cells.shape[0]):
         us, ds = cells[w].nonzero()
         counts = cells[w][us, ds].tolist()
         if cells.shape[1] == 1:
@@ -369,7 +368,6 @@ class GridCase:
 class CaseResult:
     case: GridCase
     ok: bool
-    brute_checked: bool
     detail: str = ""
 
 
@@ -388,11 +386,10 @@ class VerificationReport:
     def summary(self) -> str:
         lines = []
         for r in self.results:
-            coverage = "" if r.brute_checked else " [dp-only]"
             if r.ok:
-                lines.append(f"PASS {r.case.label()}{coverage}")
+                lines.append(f"PASS {r.case.label()}")
             else:
-                lines.append(f"FAIL {r.case.label()}{coverage} :: {r.detail}")
+                lines.append(f"FAIL {r.case.label()} :: {r.detail}")
         lines.append(f"# result = {'PASS' if self.all_ok else 'FAIL'} "
                      f"({self.passed}/{len(self.results)})")
         return "\n".join(lines) + "\n"
@@ -453,7 +450,7 @@ def _attribute_mismatch(code, p_u, p_z, n, bad_keys, limit=4):
     return " from " + ",".join(found) if found else ""
 
 
-def run_case(case: GridCase, brute_limit: int = BRUTE_FORCE_LIMIT) -> CaseResult:
+def run_case(case: GridCase) -> CaseResult:
     code = RscCode.from_octals(case.feedback, case.feedforward)
     p_u = row_from_string(case.p_u)
     p_z = row_from_string(case.p_z)
@@ -466,17 +463,15 @@ def run_case(case: GridCase, brute_limit: int = BRUTE_FORCE_LIMIT) -> CaseResult
                if closed.terms.get(k, 0) != trellis.terms.get(k, 0)}
         mismatch += _attribute_mismatch(code, p_u, p_z, case.n, bad)
         problems.append(f"closed vs trellis: {mismatch}")
-    brute_checked = comb(case.n, 2) <= brute_limit
-    if brute_checked:
-        brute = brute_force_cwef(code, p_u, p_z, case.n, 2)
-        mismatch = diff_cwefs(closed, brute)
-        if mismatch:
-            problems.append(f"closed vs brute force: {mismatch}")
-    return CaseResult(case, not problems, brute_checked, "; ".join(problems))
+    # the uncapped trellis pass refused every n past DP_UNCAPPED_N_LIMIT,
+    # so C(n, 2) is within BRUTE_FORCE_LIMIT
+    mismatch = diff_cwefs(closed, brute_force_cwef(code, p_u, p_z, case.n, 2))
+    if mismatch:
+        problems.append(f"closed vs brute force: {mismatch}")
+    return CaseResult(case, not problems, "; ".join(problems))
 
 
-def run_verification(cases=None, jobs: int = 1,
-                     brute_limit: int = BRUTE_FORCE_LIMIT) -> VerificationReport:
+def run_verification(cases=None, jobs: int = 1) -> VerificationReport:
     if cases is None:
         cases = default_verification_grid()
     # a pool starts all its workers at once; past the CPUs they only wait
@@ -484,8 +479,7 @@ def run_verification(cases=None, jobs: int = 1,
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = tuple(pool.map(partial(run_case, brute_limit=brute_limit),
-                                     cases, chunksize=16))
+            results = tuple(pool.map(run_case, cases, chunksize=16))
     else:
-        results = tuple(run_case(c, brute_limit) for c in cases)
+        results = tuple(map(run_case, cases))
     return VerificationReport(results)

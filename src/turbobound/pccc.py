@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb, lcm
 from operator import mul
 
@@ -53,6 +54,14 @@ class PcccConfig:
         """(code, p_u, p_z) of each of the two constituent encoders."""
         c1, c2 = self.punctures.constituent1(), self.punctures.constituent2()
         return (self.code1, c1.p_u, c1.p_z), (self.code2, c2.p_u, c2.p_z)
+
+    @cached_property
+    def minima(self) -> tuple[tuple[int, int], ...]:
+        """The two constituents' weight2_minima in an n-step block, walked
+        once per config.  Constituent 1's smallest u + z plus constituent
+        2's smallest z is the smallest weight-2 distance, also when
+        either of them is 0."""
+        return tuple(weight2_minima(*c, self.n) for c in self.constituents())
 
 
 @dataclass(frozen=True)
@@ -344,16 +353,14 @@ def _as_points(raw_values, ebn0_db) -> tuple[BoundPoint, ...]:
         for db, v in zip(ebn0_db, raw_values))
 
 
-def p2_approximation(config: PcccConfig, ebn0_db, minima=None) -> BoundCurve:
-    """Dominant-term approximation of the bit-error union bound.
-
-    minima, the two constituents' weight-2 minima pairs when the caller
-    holds them, give the spectrum's smallest distance that the clipping
-    horizon is chosen from."""
+def p2_approximation(config: PcccConfig, ebn0_db) -> BoundCurve:
+    """Dominant-term approximation of the bit-error union bound.  The
+    clipping horizon is chosen from the spectrum's smallest distance,
+    read off config.minima."""
     ebn0_db = tuple(float(db) for db in ebn0_db)
     if not ebn0_db:
         raise ValueError("need at least one SNR point")
-    (m1, _), (_, z2) = minima or constituent_minima(config)
+    (m1, _), (_, z2) = config.minima
     total = weight2_total(config.code1, config.n) * weight2_total(config.code2, config.n)
     horizon = certified_horizon(config.rate, min(ebn0_db), m1 + z2, total)
     raw = certified_p2(lambda h: p2_slice(config, h), total, config.n,
@@ -434,10 +441,8 @@ def truncated_union_bound(config: PcccConfig, w_max: int = DEFAULT_W_MAX,
         raise ValueError("w_max must be at least 2")
     if d_max < 1:
         raise ValueError("d_max must be positive")
-    # the smallest weight-2 distance: constituent 1's smallest u + z plus
-    # constituent 2's smallest z, also when either of them is 0
-    m1, m2 = constituent_minima(config)
-    if m1[0] + m2[1] > d_max:
+    (m1, _), (_, z2) = config.minima
+    if m1 + z2 > d_max:
         raise ValueError(
             f"d_max={d_max} is below the smallest weight-2 distance; "
             "the bound would be vacuous")
@@ -468,19 +473,14 @@ def d_free_eff(m1: tuple[int, int], m2: tuple[int, int]) -> int:
     return 0 if d1 == 0 or z2 == 0 else d1 + z2
 
 
-def constituent_minima(config: PcccConfig) -> tuple[tuple[int, int], ...]:
-    """The two constituents' weight2_minima in an n-step block."""
-    return tuple(weight2_minima(*c, config.n) for c in config.constituents())
-
-
-def free_effective_distance(config: PcccConfig, minima=None) -> int:
+def free_effective_distance(config: PcccConfig) -> int:
     """Smallest transmitted weight reachable by a weight-2 input pair,
-    from the two constituents' minima, read here unless given.
+    from config.minima.
 
     Returns 0 (with a warning) when either constituent admits a
     zero-weight event, the catastrophic-puncturing case.
     """
-    dfree = d_free_eff(*(minima or constituent_minima(config)))
+    dfree = d_free_eff(*config.minima)
     if dfree == 0:
         warnings.warn("catastrophic puncturing: weight-2 event with zero "
                       "transmitted weight", stacklevel=2)

@@ -191,20 +191,22 @@ def count_span_walks(monkeypatch):
 
 
 def test_bound_computes_constituent_cwefs_once(monkeypatch, capsys):
-    # d_free_eff walks the two probe-length minima (61 steps, spans
-    # k <= 4), P(2) builds the pair at n once (k <= 82), and no cache
-    # carries either over to the next command
+    # d_free_eff, P(2)'s horizon and, at --wmax 3, the --dmax vacuity
+    # check read one walk of each probe-length minima (61 steps, spans
+    # k <= 4); P(2) builds the pair at n once (k <= 82); at --wmax 3 the
+    # event-span screen walks each constituent once more (k <= 66); and
+    # no cache carries any of them over to the next command
     calls = count_cwef_builds(monkeypatch, cwef, pccc)
     walks = count_span_walks(monkeypatch)
-    for _ in range(2):
+    for wmax, span_walks in [("2", []), ("3", [66, 66])] * 2:
         calls.clear()
         walks.clear()
         code, out, _ = run(capsys, "bound", "--gr1", "23", "--gf1", "35",
                            "--pseudo", "A", "--n", "1234", "--snr", "2:4:1",
-                           "--wmax", "2")
+                           "--wmax", wmax)
         assert code == 0 and "# d_free_eff = 16" in out
         assert [args[3] for args in calls] == [1234, 1234]
-        assert sorted(walks) == [4, 4, 82, 82]
+        assert sorted(walks) == sorted([4, 4, 82, 82] + span_walks)
 
 
 def test_bound_refuses_before_building_at_n(monkeypatch, capsys):
@@ -219,9 +221,10 @@ def test_bound_refuses_before_building_at_n(monkeypatch, capsys):
                          "--pseudo", "A", "--n", "1000000", "--wmax", "4")
     assert code == 2 and out == ""
     assert "path counts would overflow 64-bit accumulation" in err
-    # d_free_eff and the --dmax vacuity check each walk the two minima at
-    # the probe length, 61 steps (spans k <= 4), and build no enumerator
-    assert calls == [] and walks == [4, 4, 4, 4]
+    # d_free_eff and the --dmax vacuity check read one walk of the two
+    # minima at the probe length, 61 steps (spans k <= 4), and build no
+    # enumerator
+    assert calls == [] and walks == [4, 4]
 
 
 def test_bound_reads_a_large_n_off_a_short_pass(monkeypatch, capsys):
@@ -296,15 +299,18 @@ def test_snr_ceiling(capsys, argv, snr, want):
 
 
 def test_bound_metadata_round_trip(tmp_path, capsys):
+    # the header holds the grid's step as parsed: grid[1] - grid[0] read
+    # 0.10000000000000003 for 0.3:8.3:0.1, a grid of other points
     target = tmp_path / "curve.csv"
-    assert run(capsys, "bound", "--gr1", "15", "--gf1", "17", "--pseudo", "B",
-               "--n", "250", "--snr", "1:5:0.5", "--wmax", "3",
-               "--dmax", "100", "--out", str(target))[0] == 0
-    first = target.read_text()
-    argv = argv_from_metadata(first)
-    assert argv[0] == "bound"
-    assert run(capsys, *argv, "--out", str(target))[0] == 0
-    assert target.read_text() == first
+    for snr in ("1:5:0.5", "0.3:8.3:0.1", "-2.7:9.9:0.3", "-1.3:4.9:0.05"):
+        assert run(capsys, "bound", "--gr1", "15", "--gf1", "17", "--pseudo", "B",
+                   "--n", "250", f"--snr={snr}", "--wmax", "3",
+                   "--dmax", "100", "--out", str(target))[0] == 0
+        first = target.read_text()
+        argv = argv_from_metadata(first)
+        assert argv[0] == "bound"
+        assert run(capsys, *argv, "--out", str(target))[0] == 0
+        assert target.read_text() == first, snr
 
 
 def test_bound_negative_snr_start(tmp_path, capsys):
@@ -765,7 +771,7 @@ def test_search_rejects(capsys, argv, fragment):
 def fake_report(ok):
     case = GridCase("7", "5", "1", "1", 20)
     detail = "" if ok else "closed vs trellis: (u=2,z=4): 1 vs 2"
-    return VerificationReport((CaseResult(case, ok, True, detail),))
+    return VerificationReport((CaseResult(case, ok, detail),))
 
 
 def test_verify_pass(monkeypatch, tmp_path, capsys):

@@ -53,13 +53,13 @@ def test_dp_refuses_more_memory_than_its_limit():
 
 
 def test_dp_weight_zero_slice():
-    res = exact_cwef_dp(CODE_15_17, ONES, ONES, 10, 2, include_w0=True)
-    assert res.for_weight(0).terms == {(0, 0): 1}
-    bare = exact_cwef_dp(CODE_15_17, ONES, ONES, 10, 2)
+    # at w = 0 the only input is the all-zero one, so no slice holds it
+    res = exact_cwef_dp(CODE_15_17, ONES, ONES, 10, 2)
+    assert set(res.by_weight) == {1, 2}
     with pytest.raises(ValueError):
-        bare.for_weight(0)
+        res.for_weight(0)
     with pytest.raises(ValueError):
-        bare.for_weight(3)
+        res.for_weight(3)
 
 
 def test_dp_cells_wide_enough_for_every_path():
@@ -223,9 +223,15 @@ def test_grid_shape():
 def test_run_case_passes():
     case = GridCase("15", "17", "1000101", "0111010", 50)
     res = run_case(case)
-    assert res.ok and res.brute_checked and res.detail == ""
-    res = run_case(case, brute_limit=0)
-    assert res.ok and not res.brute_checked
+    assert res.ok and res.detail == ""
+
+
+def test_run_case_brute_forces_every_case_it_accepts():
+    # the uncapped trellis pass refuses first whatever brute force could
+    # not enumerate, so run_case has no case left to check by DP alone
+    assert comb(oracle.DP_UNCAPPED_N_LIMIT, 2) <= oracle.BRUTE_FORCE_LIMIT
+    with pytest.raises(ValueError, match="pass d_max"):
+        run_case(GridCase("7", "5", "1", "1", oracle.DP_UNCAPPED_N_LIMIT + 1))
 
 
 def test_run_case_catches_planted_error(monkeypatch):
@@ -249,13 +255,11 @@ def test_run_case_catches_planted_error(monkeypatch):
 
 def test_verification_report_summary():
     case = GridCase("7", "5", "1", "1", 20)
-    ok = oracle.CaseResult(case, True, True)
-    dponly = oracle.CaseResult(case, True, False)
-    bad = oracle.CaseResult(case, False, True, "closed vs trellis: boom")
-    rep = VerificationReport((ok, dponly, bad))
+    ok = oracle.CaseResult(case, True)
+    bad = oracle.CaseResult(case, False, "closed vs trellis: boom")
+    rep = VerificationReport((ok, ok, bad))
     lines = rep.summary().splitlines()
-    assert lines[0] == "PASS 7/5 pu=1 pz=1 n=20"
-    assert lines[1] == "PASS 7/5 pu=1 pz=1 n=20 [dp-only]"
+    assert lines[0] == lines[1] == "PASS 7/5 pu=1 pz=1 n=20"
     assert lines[2] == "FAIL 7/5 pu=1 pz=1 n=20 :: closed vs trellis: boom"
     assert lines[3] == "# result = FAIL (2/3)"
     assert not rep.all_ok and rep.passed == 2
@@ -274,9 +278,7 @@ def test_run_verification_parallel_subset():
     cases = [GridCase("7", "5", "1", "1", 20),
              GridCase("15", "17", "1", "1", 22),
              GridCase("5", "7", "10", "01", 21)]
-    assert run_verification(cases, jobs=2).all_ok
-    # the pool must honour brute_limit just as the serial path does
-    for jobs in (1, 2):
-        rep = run_verification(cases, jobs=jobs, brute_limit=0)
-        assert rep.all_ok
-        assert not any(r.brute_checked for r in rep.results)
+    pooled = run_verification(cases, jobs=2)
+    assert pooled.all_ok
+    # the pool gives the serial report line for line
+    assert pooled.summary() == run_verification(cases, jobs=1).summary()

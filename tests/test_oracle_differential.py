@@ -170,9 +170,11 @@ def reference_dp(code, p_u, p_z, n, w_max, d_cap):
 @given(codes(), rows(8), rows(8), st.integers(1, 60), st.integers(1, 4),
        st.one_of(st.none(), st.integers(1, 40)))
 def test_dp_matches_dict_trellis(code, p_u, p_z, n, w_max, d_max):
-    res = exact_cwef_dp(code, p_u, p_z, n, w_max, d_max, include_w0=True)
+    res = exact_cwef_dp(code, p_u, p_z, n, w_max, d_max)
     by_weight, truncated, total = reference_dp(
         code, p_u, p_z, n, w_max, n + w_max if d_max is None else d_max)
+    # the pass leaves out w = 0, whose only input is the all-zero one
+    assert by_weight.pop(0) == {(0, 0): 1}
     assert {w: c.terms for w, c in res.by_weight.items() if c.terms} == by_weight
     assert (res.truncated, res.total_paths) == (truncated, total)
 
@@ -187,15 +189,13 @@ def distance_counts(cwef):
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(GRID_CODES), rows(8), rows(8), st.integers(1, 200),
-       st.integers(1, 4), st.one_of(st.none(), st.integers(1, 60)), st.booleans(),
-       st.data())
+       st.integers(1, 4), st.one_of(st.none(), st.integers(1, 60)), st.data())
 def test_folded_pass_is_the_split_pass_summed_over_u(octals, p_u, p_z, n, w_max, d_max,
-                                                    include_w0, data):
+                                                    data):
     code = RscCode.from_octals(*octals)
     keep = data.draw(st.sets(st.integers(1, n), max_size=3))
-    split = exact_cwef_dp(code, p_u, p_z, n, w_max, d_max, include_w0, keep=keep)
-    folded = exact_cwef_dp(code, p_u, p_z, n, w_max, d_max, include_w0, keep=keep,
-                           folded=True)
+    split = exact_cwef_dp(code, p_u, p_z, n, w_max, d_max, keep=keep)
+    folded = exact_cwef_dp(code, p_u, p_z, n, w_max, d_max, keep=keep, folded=True)
     assert folded.by_weight == {w: distance_counts(c) for w, c in split.by_weight.items()}
     assert (folded.truncated, folded.total_paths) == (split.truncated, split.total_paths)
     assert folded.kept.keys() == split.kept.keys() == keep

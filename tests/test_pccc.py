@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from turbobound.cwef import Cwef, cwef_w2_punctured, min_weights
 from turbobound.oracle import GRID_CODES
-from turbobound.pccc import (BoundPoint, IowefSlice, PcccConfig,
-                             combine_uniform_interleaver, d_free_eff,
-                             free_effective_distance, iowef_slice,
-                             p2_approximation, p2_slice, q_function,
+from turbobound.pccc import (BoundPoint, IowefSlice, PcccConfig, _convolve,
+                             combine_uniform_interleaver, constituent_cwefs,
+                             d_free_eff, free_effective_distance, iowef_slice,
+                             p2_approximation, p2_slice, q_function, q_horizon,
                              truncated_union_bound, union_bound_term)
 from turbobound.puncture import (PcccPunctureSet, code_rate, probe_length,
                                  pseudo_random_pattern)
@@ -237,6 +237,37 @@ def test_truncated_bound_flags_dropped_terms():
     assert not full.truncated
     assert tight.truncated
     assert tight.curve.points[0].raw < full.curve.points[0].raw
+
+
+def test_truncated_bound_and_ratio_in_60_digits():
+    # the truncated-bound and ratio columns of `bound --gr1 23 --gf1 35
+    # --pseudo A --n 100000 --wmax 3 --dmax 120` against the same exact
+    # counts summed in 60-digit arithmetic; criterion 8's tolerance
+    code = RscCode.from_octals("23", "35")
+    cfg = PcccConfig(code, code, pseudo_random_pattern(code, "A"), 10**5)
+    grid = tuple(0.5 * i for i in range(17))
+    tb = truncated_union_bound(cfg, 3, 120, grid)
+    p2 = p2_approximation(cfg, grid)
+    (e1, _), (e2, _) = (constituent_cwefs(*c, cfg.n, 3, 120) for c in cfg.constituents())
+    spectra = {w: [(d, c) for d, c in _convolve(e1[w], e2[w]) if d <= 120]
+               for w in (2, 3)}
+    # Q at D*, the horizon at 0 dB, is below 2^-1074, so the terms past
+    # it change no sum in its first 60 digits
+    whole = p2_slice(cfg, q_horizon(cfg.rate, 0.0)).coeffs.items()
+
+    def union_sum(w, terms, db):
+        scale = 2 * mp.mpf(cfg.rate.numerator) / cfg.rate.denominator \
+            * mp.mpf(10) ** (mp.mpf(db) / 10)
+        weight = mp.mpf(w) / (cfg.n * comb(cfg.n, w))
+        return mp.fsum(weight * c * mp.erfc(mp.sqrt(scale * d / 2)) / 2
+                       for d, c in terms)
+
+    with mp.workdps(60):
+        for db, tbp, p2p in zip(grid, tb.curve.points, p2.points):
+            bound = union_sum(2, spectra[2], db) + union_sum(3, spectra[3], db)
+            assert rel_err(tbp.raw, float(bound)) < 1e-12, db
+            ratio = union_sum(2, whole, db) / bound
+            assert rel_err(p2p.raw / tbp.raw, float(ratio)) < 1e-12, db
 
 
 def test_truncated_bound_rejects():
