@@ -42,7 +42,7 @@ def main():
     # What a disagreement looks like: diff against a different pattern.
     other = cwef_w2_punctured(CODE, P_U, row_from_string("1111111"), N)
     print("\nsame code, unpunctured parity instead:")
-    print(f"  {diff_cwefs(closed, other, limit=4)}")
+    print(f"  {diff_cwefs(closed, other)}")
 
 
 if __name__ == "__main__":

@@ -24,9 +24,9 @@ from math import comb
 from . import __version__
 from .cwef import cwef_w2_punctured, weight2_minima, weight2_table, weight2_total
 from .oracle import DP_D_LIMIT, DP_W_LIMIT, run_verification
-from .pccc import (DEFAULT_D_MAX, DEFAULT_W_MAX, PcccConfig, certified_horizon,
-                   certified_p2, d_free_eff, distance_spectrum,
-                   free_effective_distance, p2_approximation, truncated_union_bound)
+from .pccc import (PcccConfig, certified_horizon, certified_p2, d_free_eff,
+                   distance_spectrum, free_effective_distance, p2_approximation,
+                   truncated_union_bound)
 # not called here; the benchmark harness self-test traces cli.p2_slice
 from .pccc import p2_slice  # noqa: F401
 from .puncture import (PcccPunctureSet, classification, code_rate,
@@ -280,7 +280,7 @@ def _search_p2(code1, code2, contenders, n, rate, db, d_min):
         def spectrum(h):
             a1 = cwef(code1, sys_row, par1_row, n, h)
             a2 = cwef(code2, (0,) * len(par2_row), par2_row, n, h)
-            return distance_spectrum(a1, a2, n, 2, h)
+            return distance_spectrum(a1, a2, h)
         out += certified_p2(spectrum, total, n, rate, (db,), horizon)
     return out
 
@@ -431,10 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", default="0:8:0.5", metavar="GRID",
                    help="Eb/N0 grid in dB, START:STOP:STEP or one value "
                         "(default %(default)s)")
-    p.add_argument("--wmax", type=int, default=DEFAULT_W_MAX,
+    p.add_argument("--wmax", type=int, default=3,
                    help="largest input weight in the truncated bound "
                         "(default %(default)s)")
-    p.add_argument("--dmax", type=int, default=DEFAULT_D_MAX,
+    p.add_argument("--dmax", type=int, default=120,
                    help="largest retained distance (default %(default)s)")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; bound runs single-threaded")

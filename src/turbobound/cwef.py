@@ -68,13 +68,14 @@ def path_weights(code: RscCode, p_u, p_z, k: int, m: int) -> tuple[int, int]:
     return u, z
 
 
-def _span_cycle(code: RscCode, p_u, p_z, k_max: int, horizon: float = math.inf):
-    """The one walk of weight-2 paths.  For each start column m0 = 0..M-1
-    in turn, yields (paths, step): paths holds the (u, z) of the paths of
-    span multiplier k = 1..min(cycle, k_max) from column m0, in order of
-    k, with cycle = lcm(L, M) / L; step is the parity walked past the
-    diverge bit, which after a whole cycle is what one more column cycle
-    adds to any of its paths.
+def _span_cycle(code: RscCode, p_u: Row, p_z: Row, k_max: int, horizon: float = math.inf):
+    """The one walk of weight-2 paths, over rows its callers validated.
+    For each start column m0 = 0..M-1 in turn, yields (paths, step):
+    paths holds the (u, z) of the paths of span multiplier
+    k = 1..min(cycle, k_max) from column m0, in order of k, with
+    cycle = lcm(L, M) / L; step is the parity walked past the diverge
+    bit, which after a whole cycle is what one more column cycle adds to
+    any of its paths.
 
     Period j of a path adds its core weight, then the parity bit of its
     join into period j + 1.  After a cycle of periods the path ends in
@@ -84,7 +85,6 @@ def _span_cycle(code: RscCode, p_u, p_z, k_max: int, horizon: float = math.inf):
     walk stops once that z reaches horizon: then every walked path's
     z + step is at least horizon too.  A walk cut at k_max < cycle has
     no path that fits a cycle past one walked."""
-    p_u, p_z = as_row(p_u), as_row(p_z)
     l_period, m_period = code.period, lcm(len(p_u), len(p_z))
     pu, pz = extend_row(p_u, m_period), extend_row(p_z, m_period)
     z_cores = punctured_core_weights(code, pz)
@@ -158,14 +158,19 @@ def weight2_total(code: RscCode, n: int) -> int:
 def weight2_span_minimum(code: RscCode, p_u, p_z, k: int) -> int:
     """The least u + z of path_weights(code, p_u, p_z, k, m) over the
     start columns m = 1..M, off a span walk of at most one column cycle."""
-    return min(sum(_span_weights(walk, k)) for walk in _span_cycle(code, p_u, p_z, k))
+    walks = _span_cycle(code, as_row(p_u), as_row(p_z), k)
+    return min(sum(_span_weights(walk, k)) for walk in walks)
 
 
 def _minima_block(code: RscCode, m_period: int, n: int | None) -> int:
     """The block whose weight-2 paths hold the minima of an n-step block,
-    or of any block when n is None: probe_length, or a shorter n."""
+    or of any block when n is None: probe_length, or a shorter n.
+    Refuses a block that no weight-2 path fits in."""
     probe = probe_length(code, m_period)
-    return min(probe, n or probe)
+    block = probe if n is None else min(probe, n)
+    if block <= code.period:
+        raise ValueError(f"no weight-2 path fits in n={block} <= L={code.period}")
+    return block
 
 
 def weight2_minima(code: RscCode, p_u, p_z, n: int | None = None) -> tuple[int, int]:
@@ -180,8 +185,6 @@ def weight2_minima(code: RscCode, p_u, p_z, n: int | None = None) -> tuple[int, 
     least = [(min(u + z for u, z in fits), min(z for _, z in fits))
              for m0, (paths, _) in zip(range(block), walks)
              if (fits := paths[:(block - m0 - 1) // code.period])]
-    if not least:  # no path fits: the enumerator warns and min_weights refuses
-        return min_weights(cwef_w2_punctured(code, p_u, p_z, block))
     return tuple(map(min, zip(*least)))
 
 
@@ -224,15 +227,13 @@ class Weight2Table:
         return out
 
 
-def weight2_table(code: RscCode, m_period: int, n: int | None = None) -> Weight2Table:
+def weight2_table(code: RscCode, m_period: int, n: int) -> Weight2Table:
     """The Weight2Table of the block that weight2_minima reads for
     period-M rows at n.  A path's u and z count the ones it sends in the
     columns a row keeps, so slot p of column c is path p's weight under
     the unit row that keeps column c alone: one span walk per column."""
     l_period = code.period
     block = _minima_block(code, m_period, n)
-    if block <= l_period:
-        raise ValueError(f"no weight-2 path fits in n={block} <= L={l_period}")
     k_max = (block - 1) // l_period
     # the path from column m0 fits when some start t = m0 mod M has
     # t + kL < block

@@ -224,7 +224,7 @@ def _zero_weight_cycle(code: RscCode, p_z) -> bool:
 
 
 def event_span_bound(code: RscCode, p_u, p_z, w_max: int, d_max: int,
-                     limit: int | None = None) -> int | None:
+                     limit: int) -> int | None:
     """An upper bound S on the span, diverging step to remerging step,
     of every error event of input weight <= w_max whose punctured u + z
     is at most d_max, from any start column.  None when some zero-input
@@ -236,17 +236,13 @@ def event_span_bound(code: RscCode, p_u, p_z, w_max: int, d_max: int,
     such a prefix of l - 1 steps, which weighs no more than the event.
     So S is also a length past which a single 1 has pushed a pass over
     d_max.  One min-weight pass over (input weight, state, column) finds
-    it.  A limit, when given, is at least 1.
+    it.  The limit is at least 1.
     """
     import numpy as np
     p_u, p_z = as_row(p_u), as_row(p_z)
     if _zero_weight_cycle(code, p_z):
         return None
     m_period = lcm(len(p_u), len(p_z))
-    if limit is None:
-        # a path makes at most w_max zero-input runs, and each lcm(L, M)
-        # steps of a run close whole cycles, which weigh at least 1
-        limit = w_max * ((d_max + 2) * lcm(code.period, m_period) + 1)
     pu = np.array(extend_row(p_u, m_period), dtype=np.int64)
     pz = np.array(extend_row(p_z, m_period), dtype=np.int64)
     n_states = code.n_states
@@ -336,8 +332,9 @@ def brute_force_cwef(code: RscCode, p_u, p_z, n: int, w: int) -> Cwef:
     return Cwef(w, n, dict(zip(zip(u.tolist(), z.tolist()), tally[tally > 0].tolist())))
 
 
-def diff_cwefs(a: Cwef, b: Cwef, limit: int = 6) -> str | None:
-    """None when equal, else a short per-key account of the mismatch."""
+def diff_cwefs(a: Cwef, b: Cwef) -> str | None:
+    """None when equal, else a short per-key account of the mismatch:
+    its first 6 keys and a count of the rest."""
     if a.terms == b.terms:
         return None
     parts = []
@@ -345,9 +342,9 @@ def diff_cwefs(a: Cwef, b: Cwef, limit: int = 6) -> str | None:
         ca, cb = a.terms.get(key, 0), b.terms.get(key, 0)
         if ca != cb:
             parts.append(f"(u={key[0]},z={key[1]}): {ca} vs {cb}")
-    shown = "; ".join(parts[:limit])
-    if len(parts) > limit:
-        shown += f"; ... {len(parts) - limit} more"
+    shown = "; ".join(parts[:6])
+    if len(parts) > 6:
+        shown += f"; ... {len(parts) - 6} more"
     return shown
 
 
@@ -439,13 +436,13 @@ def default_verification_grid() -> tuple[GridCase, ...]:
     return tuple(cases)
 
 
-def _attribute_mismatch(code, p_u, p_z, n, bad_keys, limit=4):
+def _attribute_mismatch(code, p_u, p_z, n, bad_keys):
     found = []
     for k in range(1, (n - 1) // code.period + 1):
         for m in range(1, len(p_z) * len(p_u) + 1):
             if path_weights(code, p_u, p_z, k, m) in bad_keys:
                 found.append(f"(k={k},m={m})")
-                if len(found) >= limit:
+                if len(found) >= 4:
                     return " from " + ",".join(found)
     return " from " + ",".join(found) if found else ""
 

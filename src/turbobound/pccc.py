@@ -25,9 +25,6 @@ from .oracle import (check_dp_limits, counts_from_cells, event_span_bound, exact
 from .puncture import PcccPunctureSet, code_rate
 from .rsc import RscCode
 
-DEFAULT_W_MAX = 3
-DEFAULT_D_MAX = 120
-
 
 @dataclass(frozen=True)
 class PcccConfig:
@@ -166,20 +163,19 @@ def combine_uniform_interleaver(a1: Cwef, a2: Cwef, n: int, w: int) -> Cwef:
     return Cwef(w, n, terms)
 
 
-def distance_spectrum(a1: Cwef, a2: Cwef, n: int, w: int,
-                      horizon: float = math.inf) -> IowefSlice:
+def distance_spectrum(a1: Cwef, a2: Cwef, horizon: float = math.inf) -> IowefSlice:
     """Distance spectrum of the concatenation behind the uniform
-    interleaver, iowef_slice(combine_uniform_interleaver(a1, a2, n, w)),
-    in one product: a1 projected onto d = u + z convolved with a2
-    projected onto z.  Only the distances below horizon are kept, and
+    interleaver, iowef_slice(combine_uniform_interleaver(a1, a2, a1.n,
+    a1.w)), in one product: a1 projected onto d = u + z convolved with
+    a2 projected onto z.  Only the distances below horizon are kept, and
     only the terms that can reach them take part in the product."""
-    _check_pair(a1, a2, n, w)
+    _check_pair(a1, a2, a1.n, a1.w)
     coeffs: dict[int, int] = {}
     for d, c in _convolve(_marginal(a1, 1, horizon), _marginal(a2, 0, horizon)):
         if d >= horizon:
             break
         coeffs[d] = c
-    return IowefSlice(w, coeffs)
+    return IowefSlice(a1.w, coeffs)
 
 
 def iowef_slice(a: Cwef) -> IowefSlice:
@@ -228,6 +224,26 @@ def _q_at(scale: float, d) -> float:
     return sum(_tails(scale, (d,)), 0.0)
 
 
+def _first_below(scale: float, d: int, target: float) -> float:
+    """The first distance past d whose Q(sqrt(scale * distance)) is below
+    target, where Q at d is not: found by doubling the step from d and
+    then halving it.  inf when Q at 2**1000 is not 0.0 (scale * distance
+    turns a distance into a float, below 2**1024)."""
+    if math.isfinite(scale * 2**1000) and _q_at(scale, 2**1000) > 0.0:
+        return math.inf
+    step = 1
+    while _q_at(scale, d + step) >= target:
+        step *= 2
+    lo, hi = d + step // 2, d + step  # Q(lo) >= target > Q(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _q_at(scale, mid) < target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def q_horizon(rate, ebn0_db: float) -> float:
     """D*, the smallest distance d whose Q(sqrt(2 R Eb/N0 d)) is exactly
     0.0 in floats, or inf when no d up to 2**1000 reaches 0.0.
@@ -236,20 +252,8 @@ def q_horizon(rate, ebn0_db: float) -> float:
     no term at a distance of D* or more adds to a union sum, and every
     spectrum may be clipped there.  D* is about 1481 / (2 R Eb/N0):
     1481 at 0 dB and rate 1/2."""
-    scale = _scale(rate, ebn0_db)
-    hi = 1
-    while _q_at(scale, hi) > 0.0:
-        hi *= 2
-        if hi > 2**1000:  # scale * d turns d into a float, below 2**1024
-            return math.inf
-    lo = hi // 2  # Q(lo) > 0; Q(0) = 0.5
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _q_at(scale, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    # Q(0) = 0.5, and below the least positive float is 0.0 alone
+    return _first_below(_scale(rate, ebn0_db), 0, math.ulp(0.0))
 
 
 def certified_horizon(rate, ebn0_db: float, d_min: int, total: int) -> float:
@@ -260,20 +264,12 @@ def certified_horizon(rate, ebn0_db: float, d_min: int, total: int) -> float:
     count.  Past h all total counts together then weigh below a 2**-62
     share of the term at d_min.  h is only a choice:
     union_bound_curve proves each clipped sum, and certified_p2 falls
-    back to D*.  D* when no h below it qualifies, inf when D* is."""
-    d_star = q_horizon(rate, ebn0_db)
+    back to D*.  D* when that target is 0.0, inf when D* is."""
     scale = _scale(rate, ebn0_db)
     target = 2.0**-62 * _q_at(scale, d_min) / total
-    if d_star == math.inf or target == 0.0:
-        return d_star
-    lo, hi = d_min, d_star  # Q(lo) >= target > Q(hi) = 0.0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _q_at(scale, mid) < target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if target == 0.0:
+        return q_horizon(rate, ebn0_db)
+    return _first_below(scale, d_min, target)
 
 
 def union_bound_curve(b: IowefSlice, n: int, rate, ebn0_db, rest: int = 0,
@@ -327,7 +323,7 @@ def p2_slice(config: PcccConfig, horizon: float = math.inf) -> IowefSlice:
     closed forms only."""
     a1, a2 = (cwef_w2_punctured(*c, config.n, horizon)
               for c in config.constituents())
-    return distance_spectrum(a1, a2, config.n, 2, horizon)
+    return distance_spectrum(a1, a2, horizon)
 
 
 def certified_p2(spectrum, total: int, n: int, rate, ebn0_db,
@@ -425,8 +421,8 @@ class TruncatedBound:
     per_weight: dict[int, tuple[float, ...]]
 
 
-def truncated_union_bound(config: PcccConfig, w_max: int = DEFAULT_W_MAX,
-                          d_max: int = DEFAULT_D_MAX, ebn0_db=()) -> TruncatedBound:
+def truncated_union_bound(config: PcccConfig, w_max: int, d_max: int,
+                          ebn0_db) -> TruncatedBound:
     """Union bound over input weights 2..w_max, distances capped at d_max.
 
     Constituent counts by d = u + z come from the exact folded trellis

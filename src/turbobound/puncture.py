@@ -3,7 +3,8 @@ shifted core weights, and catastrophic/semi-catastrophic screening.
 
 A pattern row is a tuple of keep flags (1 = transmit, 0 = drop), the
 leftmost entry being column m = 1.  Rows repeat periodically:
-p_{i,m+jM} = p_{i,m}.
+p_{i,m+jM} = p_{i,m}.  as_row validates a row; the helpers that take a
+Row trust it.
 """
 
 from __future__ import annotations
@@ -34,16 +35,15 @@ def row_from_string(text: str) -> Row:
     return tuple(int(c) for c in text)
 
 
-def row_to_string(row) -> str:
-    return "".join(str(b) for b in as_row(row))
+def row_to_string(row: Row) -> str:
+    return "".join(str(b) for b in row)
 
 
-def complement_row(row) -> Row:
-    return tuple(1 - b for b in as_row(row))
+def complement_row(row: Row) -> Row:
+    return tuple(1 - b for b in row)
 
 
-def extend_row(row, length: int) -> Row:
-    row = as_row(row)
+def extend_row(row: Row, length: int) -> Row:
     if length % len(row):
         raise ValueError(f"cannot extend a period-{len(row)} row to length {length}")
     return row * (length // len(row))

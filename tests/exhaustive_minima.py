@@ -39,7 +39,7 @@ def main() -> int:
             short = (probe + code.period + 1) // 2
             rows = list(product((0, 1), repeat=m))
             pairs = list(product(rows, rows))
-            packed = weight2_table(code, m).minima(pairs)
+            packed = weight2_table(code, m, probe).minima(pairs)
             packed_short = weight2_table(code, m, short).minima(pairs)
             for p_u, p_z in pairs:
                 checked += 1

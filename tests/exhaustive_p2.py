@@ -128,7 +128,7 @@ def main() -> int:
             contenders += 1
             a1 = cwef_w2_punctured(code1, rows[0], rows[1], n, horizon)
             a2 = cwef_w2_punctured(code2, (0,) * len(rows[2]), rows[2], n, horizon)
-            want = union_bound_curve(distance_spectrum(a1, a2, n, 2, horizon),
+            want = union_bound_curve(distance_spectrum(a1, a2, horizon),
                                      n, rate, (db,))[0]
             if value != want:
                 failed += 1

@@ -1,7 +1,9 @@
 """Closed-form weight-2 enumerators against hand counts and the oracles."""
 
 import math
+import re
 import sys
+import warnings
 from math import lcm
 
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 
 import turbobound.rsc as rsc
 
-from turbobound.cwef import Cwef, cwef_w2_punctured, min_weights, path_weights
+from turbobound.cwef import (Cwef, cwef_w2_punctured, min_weights, path_weights,
+                             weight2_minima, weight2_table)
 from turbobound.oracle import brute_force_cwef, exact_cwef_dp
 from turbobound.puncture import pseudo_random_pattern, row_from_string
 from turbobound.rsc import RscCode, weight2_parity_response
@@ -121,6 +124,19 @@ def test_unpunctured_short_block_warns():
     assert cwef_w2_unpunctured(CODE_15_17, 7).terms == {}
     with pytest.warns(UserWarning, match="no weight-2 path"):
         assert cwef_w2_punctured(CODE_15_17, (1,), (1,), 7).terms == {}
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_minima_and_table_refuse_a_block_no_path_fits(n):
+    # both read the weight-2 paths of min(probe length, n), and none fits
+    # in n <= L: one message, and no empty-enumerator warning first
+    message = re.escape(f"no weight-2 path fits in n={n} <= L=7")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            weight2_minima(CODE_15_17, (1, 0), (0, 1), n)
+        with pytest.raises(ValueError, match=message):
+            weight2_table(CODE_15_17, 2, n)
 
 
 def test_unpunctured_count_conservation():

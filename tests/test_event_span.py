@@ -13,7 +13,7 @@ from itertools import product
 from math import ceil, lcm
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import turbobound.oracle as oracle
@@ -39,6 +39,18 @@ def constituents(draw):
         c = draw(st.sampled_from((pset.constituent1(), pset.constituent2())))
         return code, c.p_u, c.p_z
     return code, draw(rows(4)), draw(rows(4))
+
+
+def budget(code, p_u, p_z, w_max, d_max):
+    # a path makes at most w_max zero-input runs, and each lcm(L, M)
+    # steps of a run close whole cycles, which weigh at least 1
+    return w_max * ((d_max + 2) * lcm(code.period, len(p_u), len(p_z)) + 1)
+
+
+def span(code, p_u, p_z, w_max, d_max):
+    """event_span_bound within the budget every such event fits in."""
+    return event_span_bound(code, p_u, p_z, w_max, d_max,
+                            budget(code, p_u, p_z, w_max, d_max))
 
 
 def assert_matches_dp(code, p_u, p_z, n, w_max, d_max):
@@ -88,9 +100,9 @@ def test_every_residue_of_n(monkeypatch, gr, gf, variant, w_max, base):
 
 def test_unbounded_span_and_short_blocks_take_the_pass_at_n(monkeypatch):
     lengths = pass_lengths(monkeypatch)
-    assert event_span_bound(CODE_15_17, (1,), (0,), 3, 40) is None
+    assert span(CODE_15_17, (1,), (0,), 3, 40) is None
     constituent_cwefs(CODE_15_17, (1,), (0,), 2500, 3, 40)
-    assert event_span_bound(CODE_15_17, (1,), (1,), 3, 60) == 106
+    assert span(CODE_15_17, (1,), (1,), 3, 60) == 106
     # the pass of 108 steps pays once the certificate's 106 steps, at
     # their cost, and that pass fit below n
     first = 3 + ceil(106 * (1 + span_step_cost(CODE_15_17, 3, 60, 1)))
@@ -134,16 +146,29 @@ def test_span_bound_covers_every_weight2_path(octals):
     code = RscCode.from_octals(*octals)
     all_rows = [r for m in (1, 2, 3) for r in product((0, 1), repeat=m)]
     for p_u, p_z, d_max in product(all_rows, all_rows, (8, 30)):
-        span = event_span_bound(code, p_u, p_z, 2, d_max)
-        if span is None:
+        s = span(code, p_u, p_z, 2, d_max)
+        if s is None:
             continue
         m_period = lcm(len(p_u), len(p_z))
         cycle = lcm(code.period, m_period) // code.period
-        for k in range(1, span // code.period + 2 * cycle + 1):
+        for k in range(1, s // code.period + 2 * cycle + 1):
             for m in range(1, m_period + 1):
                 u, z = path_weights(code, p_u, p_z, k, m)
                 if u + z <= d_max:
-                    assert k * code.period + 1 <= span, (p_u, p_z, d_max, k, m)
+                    assert k * code.period + 1 <= s, (p_u, p_z, d_max, k, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(GRID_CODES), rows(4), rows(4), st.integers(1, 3),
+       st.integers(2, 40))
+def test_span_bound_is_the_least_limit_that_finds_it(octals, p_u, p_z, w_max, d_max):
+    # an event's first step weighs at most 2 <= d_max, so S >= 2 and
+    # S - 1 is a limit too
+    code = RscCode.from_octals(*octals)
+    s = span(code, p_u, p_z, w_max, d_max)
+    assume(s is not None)
+    assert event_span_bound(code, p_u, p_z, w_max, d_max, s) == s
+    assert event_span_bound(code, p_u, p_z, w_max, d_max, s - 1) is None
 
 
 def walked_zero_weight_cycle(code, p_z):
@@ -189,7 +214,7 @@ def test_a_weight2_witness_skips_the_walk(monkeypatch):
     # 60 L + 1 = 901 weighs 120, past the walk's limit of 896 steps at
     # n = 1000, so the walk, which would give up there, is not started
     code, p_u, p_z = RscCode.from_octals("23", "35"), (0,) * 6, (1, 1, 0, 0, 0, 0)
-    assert event_span_bound(code, p_u, p_z, 3, 120) == 928
+    assert span(code, p_u, p_z, 3, 120) == 928
     assert event_span_bound(code, p_u, p_z, 3, 120, limit=896) is None
 
     def refused(*args, **kwargs):

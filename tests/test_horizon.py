@@ -42,7 +42,7 @@ def run(capsys, *argv):
 def unclipped_p2(config, ebn0_db):
     # the whole n-length spectrum, one union_bound_term per grid point
     a1, a2 = (cwef_w2_punctured(*c, config.n) for c in config.constituents())
-    b = distance_spectrum(a1, a2, config.n, 2)
+    b = distance_spectrum(a1, a2)
     return [union_bound_term(b, config.n, config.rate, db) for db in ebn0_db]
 
 
@@ -97,8 +97,8 @@ def test_clipped_enumerators_and_spectrum_are_exact_below_the_horizon(
     for a, b in zip(full, clipped):
         assert ({key: c for key, c in b.terms.items() if key[1] < horizon}
                 == {key: c for key, c in a.terms.items() if key[1] < horizon})
-    whole = distance_spectrum(*full, n, 2).coeffs
-    assert distance_spectrum(*clipped, n, 2, horizon).coeffs == {
+    whole = distance_spectrum(*full).coeffs
+    assert distance_spectrum(*clipped, horizon).coeffs == {
         d: c for d, c in whole.items() if d < horizon}
 
 

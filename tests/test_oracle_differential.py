@@ -103,9 +103,9 @@ def test_probe_length_minima_match_every_path(code, pair, cut):
         == min_weights(cwef_w2_punctured(code, p_u, p_z, short))
     # the packed table that search screens with reads the same paths:
     # the columns a row keeps sum to each path's weights, slot by slot
-    table = weight2_table(code, m_period)
-    assert table.minima([(p_u, p_z)]) == {(p_u, p_z): min_weights(probe)}
     block = probe_length(code, m_period)
+    table = weight2_table(code, m_period, block)
+    assert table.minima([(p_u, p_z)]) == {(p_u, p_z): min_weights(probe)}
     paths = [(k, m) for k in range(1, (block - 1) // code.period + 1)
              for m in range(1, min(m_period, block - k * code.period) + 1)]
 

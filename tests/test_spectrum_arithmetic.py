@@ -112,7 +112,7 @@ def test_combine_matches_nested_loop(pair):
           Cwef(2, N, {(0, z): 2**64 - 1 for z in range(300)})))
 def test_distance_spectrum_matches_combine_then_slice(pair):
     a1, a2 = pair
-    got = distance_spectrum(a1, a2, N, a1.w)
+    got = distance_spectrum(a1, a2)
     want = iowef_slice(combine_uniform_interleaver(a1, a2, N, a1.w))
     assert got == want
     assert list(got.coeffs) == list(want.coeffs)   # ascending distance
@@ -173,6 +173,6 @@ def test_q_function_reaches_zero_monotonically():
 def test_distance_spectrum_rejects_mismatched_pair():
     a1 = Cwef(2, 10, {(2, 3): 1})
     with pytest.raises(ValueError, match="weight mismatch"):
-        distance_spectrum(a1, Cwef(3, 10, {}), 10, 2)
+        distance_spectrum(a1, Cwef(3, 10, {}))
     with pytest.raises(ValueError, match="length mismatch"):
-        distance_spectrum(a1, Cwef(2, 12, {}), 10, 2)
+        distance_spectrum(a1, Cwef(2, 12, {}))
