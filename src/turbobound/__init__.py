@@ -17,6 +17,6 @@ from .rsc import RscCode, weight2_parity_response
 from .puncture import (PcccPunctureSet, classify, code_rate,
                        pseudo_random_pattern, punctured_core_weights,
                        row_from_string, row_to_string)
-from .cwef import cwef_w2_punctured
+from .cwef import cwef_w2_punctured, cwef_w3_punctured
 from .oracle import brute_force_cwef, diff_cwefs, exact_cwef_dp
 from .pccc import PcccConfig, p2_approximation, truncated_union_bound

@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb
 
 from . import __version__
-from .cwef import cwef_w2_punctured, weight2_minima, weight2_table, weight2_total
+from .cwef import _cwef_w2, weight2_minima, weight2_table, weight2_total
 from .oracle import DP_D_LIMIT, DP_W_LIMIT, run_verification
 from .pccc import (PcccConfig, certified_horizon, certified_p2, d_free_eff,
                    distance_spectrum, free_effective_distance, p2_approximation,
@@ -274,7 +274,7 @@ def _search_p2(code1, code2, contenders, n, rate, db, d_min):
     only makes rebuilds at D* likelier."""
     total = weight2_total(code1, n) * weight2_total(code2, n)
     horizon = certified_horizon(rate, db, d_min, total)
-    cwef = cache(cwef_w2_punctured)  # held for this command only
+    cwef = cache(_cwef_w2)  # held for this command only
     out = []
     for sys_row, par1_row, par2_row in contenders:
         def spectrum(h):

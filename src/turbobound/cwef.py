@@ -1,4 +1,4 @@
-"""Closed-form conditional weight enumerators for input weight 2.
+"""Closed-form conditional weight enumerators for input weights 2 and 3.
 
 A weight-2 input diverges from the zero state, walks the feedback
 cycle k times, and remerges kL+1 steps later, so every such codeword
@@ -10,6 +10,12 @@ cycle longer ends in the same column, with its parity grown by a fixed
 step, so the enumerator, the span minimum and the packed screening
 table all read that walk, and no trellis is touched.  path_weights is
 the independent reference, one path at a time.
+
+A terminated weight-3 input is one error event too, since no event has
+input weight 1.  Between its 1s the state walks the zero-input orbit of
+the single 1, so Weight3Events reads every event's (u, z) off one
+table of zero-input walks over (orbit phase, column), and counts its
+starts in closed form: cwef_w3_punctured is exact at every n.
 """
 
 from __future__ import annotations
@@ -22,8 +28,9 @@ from dataclasses import dataclass
 from itertools import compress
 from math import lcm
 
-from .puncture import Row, as_row, extend_row, probe_length, punctured_core_weights
+from .puncture import Row, _core_weights, as_row, extend_row, probe_length
 from .rsc import RscCode, weight2_parity_response
+from .rsc import step as rsc_step
 
 
 @dataclass(frozen=True)
@@ -87,7 +94,7 @@ def _span_cycle(code: RscCode, p_u: Row, p_z: Row, k_max: int, horizon: float = 
     no path that fits a cycle past one walked."""
     l_period, m_period = code.period, lcm(len(p_u), len(p_z))
     pu, pz = extend_row(p_u, m_period), extend_row(p_z, m_period)
-    z_cores = punctured_core_weights(code, pz)
+    z_cores = _core_weights(code, pz)
     cycle = lcm(l_period, m_period) // l_period
     walked = min(cycle, k_max)
     diverge, y_last = code.impulse_parity[0], code.impulse_parity[-1]
@@ -126,12 +133,16 @@ def cwef_w2_punctured(code: RscCode, p_u, p_z, n: int,
     start fits or at its first z of horizon or more, so the enumerator
     is exact at every parity weight below horizon and lacks every term
     at or above it."""
-    p_u, p_z = as_row(p_u), as_row(p_z)
-    l_period = code.period
-    if n <= l_period:
-        warnings.warn(f"no weight-2 path fits in n={n} <= L={l_period}; "
+    if n <= code.period:
+        warnings.warn(f"no weight-2 path fits in n={n} <= L={code.period}; "
                       "enumerator is empty", stacklevel=2)
-        return Cwef(2, n, {})
+    return _cwef_w2(code, as_row(p_u), as_row(p_z), n, horizon)
+
+
+def _cwef_w2(code: RscCode, p_u: Row, p_z: Row, n: int,
+             horizon: float = math.inf) -> Cwef:
+    """cwef_w2_punctured over rows its callers validated, with no warning."""
+    l_period = code.period
     m_period = lcm(len(p_u), len(p_z))
     lost = lcm(l_period, m_period) // m_period
     terms: dict[tuple[int, int], int] = {}
@@ -253,3 +264,193 @@ def weight2_table(code: RscCode, m_period: int, n: int) -> Weight2Table:
         z_cols.append(packed(z_slots))
     return Weight2Table(m_period, slot, len(paths) * array(slot).itemsize,
                         tuple(u_cols), tuple(z_cols))
+
+
+# Weight3Events expands about _W3_CHUNK events at once, and builds the
+# pairs (c0, a) in blocks of _W3_PAIRS, holding one block from the count
+# to the expansion: together they bound the arrays it holds
+_W3_CHUNK = 1 << 12
+_W3_PAIRS = 1 << 14
+
+
+class Weight3Events:
+    """The weight-3 events of an n-step block whose u + z is at most
+    d_max, counted before any is expanded.
+
+    Write the input as 1s at t, t + a and t + b, 0 < a < b, with start
+    column c0 = t mod M, and call the state q steps after a single 1
+    phase q of its zero-input orbit, of length L.  The state the second
+    1 leaves depends on a mod L alone.  The third 1 remerges exactly when
+    that state is some phase r and b - a = L - r + iL, i >= 0: one table
+    of r over a mod L lists every event.  An event's z sums its diverge
+    bit, the zero-input walk of a - 1 steps from phase 0, the second 1's
+    parity, the walk of b - a - 1 steps from phase r and the remerge
+    parity; its u the three systematic bits.  A walk of l steps from
+    phase q in column c visits (q + s mod L, c + s mod M), s < l, on a
+    cycle of P = lcm(L, M) pairs, so it weighs (l div P) times the
+    cycle's weight plus a difference of the cycle's prefix sums.  An
+    event (c0, a, b) has (n - 1 - b - c0) div M + 1 starts that fit.
+
+    A walk never weighs less for being longer, so the events of each
+    (c0, a) that keep u + z within d_max lie among the first b of the
+    progression, found by one search in the prefix sums.  count() counts
+    those before any is expanded; `lone` is the u + z of a single 1 at
+    step 0 walked to step n - 1.  cwef() expands them by chunks of about
+    _W3_CHUNK events."""
+
+    def __init__(self, code: RscCode, p_u: Row, p_z: Row, n: int, d_max: int):
+        if n < 1 or d_max < 0:
+            raise ValueError("need n >= 1 and d_max >= 0")
+        # the C(n, 3) weight-3 inputs bound every count the tally holds
+        if math.comb(n, 3) >= 2**63:
+            raise ValueError("weight-3 counts would overflow 64-bit accumulation")
+        import numpy as np  # here, so that only the commands that count events load it
+        self._n, self._d_max = n, d_max
+        self._l, self._m = l_period, m_period = code.period, lcm(len(p_u), len(p_z))
+        self._pu = pu = np.array(extend_row(p_u, m_period), dtype=np.int64)
+        self._pz = pz = np.array(extend_row(p_z, m_period), dtype=np.int64)
+        orbit = [rsc_step(code, 0, 1)[0]]
+        while len(orbit) < l_period:
+            orbit.append(rsc_step(code, orbit[-1], 0)[0])
+        phase = {s: q for q, s in enumerate(orbit)}
+        # the second 1 after a - 1 zero steps, from phase (a - 1) mod L:
+        # the phase it leaves, -1 for zero or a state off the orbit, and
+        # its parity; phase L - 1 is the state a 1 sends to zero
+        second = [rsc_step(code, s, 1) for s in orbit]
+        self._phase = np.array([phase.get(s, -1) for s, _, _ in second])
+        self._parity = np.array([p for _, _, p in second])
+        self._diverge, self._remerge = code.impulse_parity[0], second[-1][2]
+        # one row of prefix sums per cycle of (phase, column) pairs, over
+        # two turns of it, each row offset past the last so that the
+        # flat sums ascend; _at is where pair q M + c sits in them
+        self._cycle = cycle = lcm(l_period, m_period)
+        k = np.arange(l_period * m_period // cycle)[:, None]
+        s = np.arange(2 * cycle)
+        bits = np.array(code.impulse_parity[1:])[s % l_period] * pz[(k + s) % m_period]
+        prefix = np.zeros((k.size, 2 * cycle + 1), dtype=np.int64)
+        np.cumsum(bits, axis=1, out=prefix[:, 1:])
+        whole = prefix[:, cycle].copy()
+        prefix += k * (2 * int(whole.max()) + 1)
+        self._prefix = prefix.ravel()
+        s = s[:cycle]
+        self._at = np.empty(l_period * m_period, dtype=np.int64)
+        self._at[s % l_period * m_period + (k + s) % m_period] = k * (2 * cycle + 1) + s
+        self._whole = whole[self._at // (2 * cycle + 1)]
+        # a first 1 in column c0 leaves room for a <= _last[c0]
+        c0 = np.arange(m_period)
+        reach = self._reach((c0 + 1) % m_period, d_max - pu - self._diverge * pz)
+        self._last = np.maximum(np.minimum(reach + 1, n - 2 - c0), 0)
+        self._ends = np.cumsum(self._last)
+        self.lone = int(pu[0] + self._diverge * pz[0]
+                        + self._walk(np.array([1 % m_period]), np.array([n - 1]))[0])
+        # the third 1 in column c adds third_d[c] to u + z and third_key[c]
+        # to the tally index u (d_max + 1) + z
+        third = self._remerge * pz
+        self._third_d, self._third_key = pu + third, pu * (d_max + 1) + third
+        self._pairs = int(self._ends[-1])
+        self._kept = None
+
+    def count(self) -> tuple[int, int]:
+        """(events, span): how many events the expansion will tally, and
+        the longest of them, diverging step to remerging step."""
+        events = span = 0
+        # one block is held for the expansion; more are built again there
+        kept = [] if self._pairs <= _W3_PAIRS else None
+        for block in self._blocks():
+            count, spans = block[0], block[-1]
+            events += int(count.sum())
+            span = max(span, int(spans.max(initial=0)))
+            if kept is not None:
+                kept.append(block)
+        self._kept = kept
+        return events, span
+
+    def _walk(self, qc, length):
+        """The parity sent by a zero-input walk of each length from each
+        pair index qc = q M + c."""
+        at = self._at[qc]
+        whole, part = divmod(length, self._cycle)
+        return whole * self._whole[qc] + self._prefix[at + part] - self._prefix[at]
+
+    def _reach(self, qc, budget):
+        """The longest walk from each pair index qc that sends at most
+        budget: -1 where budget < 0, and n on a cycle that sends nothing."""
+        import numpy as np
+        at, per_cycle = self._at[qc], self._whole[qc]
+        cycles = budget // np.maximum(per_cycle, 1)
+        rest = budget - cycles * per_cycle
+        part = np.searchsorted(self._prefix, self._prefix[at] + rest, "right") - 1 - at
+        longest = np.where(per_cycle > 0, cycles * self._cycle + part, self._n)
+        return np.where(budget < 0, -1, longest)
+
+    def _blocks(self):
+        """The pairs (c0, a) that some event fits, from blocks of at most
+        _W3_PAIRS pairs, as arrays: count, the third 1s that the walks
+        leave within d_max and the block within n; first, the shortest
+        walk after the second 1; at and per_cycle, where that walk's
+        cycle sits in the prefix sums and what it sends per turn; key
+        and d, the tally index and u + z of the two 1s less the prefix
+        sum at the walk's start; col, where a walk of length 0 would
+        put the third 1; rest, n - 2 - a - c0 + M, so that an event
+        whose walk has length l has (rest - l) div M starts; and spans,
+        the longest event's span."""
+        import numpy as np
+        n, d_max = self._n, self._d_max
+        l_period, m_period, pu, pz = self._l, self._m, self._pu, self._pz
+        for lo in range(0, self._pairs, _W3_PAIRS):
+            p = np.arange(lo, min(lo + _W3_PAIRS, self._pairs))
+            c0 = np.searchsorted(self._ends, p, "right")
+            a = p - (self._ends[c0] - self._last[c0]) + 1
+            q = (a - 1) % l_period
+            r = self._phase[q]
+            ca = (c0 + a) % m_period
+            u = pu[c0] + pu[ca]
+            z = (self._diverge * pz[c0] + self._walk((c0 + 1) % m_period, a - 1)
+                 + self._parity[q] * pz[ca])
+            qc = np.maximum(r, 0) * m_period + (ca + 1) % m_period
+            first = l_period - 1 - r
+            longest = np.minimum(self._reach(qc, d_max - u - z), n - 2 - c0 - a)
+            fits = (r >= 0) & (longest >= first)
+            c0, a, u, z, qc, first = (x[fits] for x in (c0, a, u, z, qc, first))
+            count = (longest[fits] - first) // l_period + 1
+            at = self._at[qc]
+            z -= self._prefix[at]
+            col = c0 + a + 1
+            yield (count, first, at, self._whole[qc], u * (d_max + 1) + z, u + z, col,
+                   n - 1 - col + m_period, a + first + (count - 1) * l_period + 2)
+
+    def cwef(self) -> Cwef:
+        """The weight-3 enumerator {(u, z): count} over u + z <= d_max."""
+        import numpy as np
+        d_max, l_period, m_period = self._d_max, self._l, self._m
+        tally = np.zeros(4 * (d_max + 1), dtype=np.int64)
+        for count, first, at, per_cycle, key, d, col, rest, _ in (
+                self._kept if self._kept is not None else self._blocks()):
+            if not count.size:
+                continue
+            ends = np.cumsum(count)
+            # event e of the block, the i-th of its pair, walks
+            # first + i L = origin + e L steps after the second 1
+            origin = first - l_period * (ends - count)
+            # chunks of whole pairs, one starting at each _W3_CHUNK-th event
+            heads = np.searchsorted(ends, np.arange(0, ends[-1], _W3_CHUNK), "right")
+            cuts = [*dict.fromkeys(heads.tolist()), ends.size]
+            for lo, hi in zip(cuts, cuts[1:]):
+                rep = np.repeat(np.arange(lo, hi), count[lo:hi])
+                length = origin[rep] + np.arange(
+                    (ends[lo] - count[lo]) * l_period, ends[hi - 1] * l_period, l_period)
+                turns, part = np.divmod(length, self._cycle)
+                walk = turns * per_cycle[rep] + self._prefix[at[rep] + part]
+                third = (col[rep] + length) % m_period
+                fit = d[rep] + walk + self._third_d[third] <= d_max
+                index = key[rep] + walk + self._third_key[third]
+                np.add.at(tally, index[fit], ((rest[rep] - length) // m_period)[fit])
+        u, z = np.divmod(np.flatnonzero(tally), d_max + 1)
+        return Cwef(3, self._n, dict(zip(zip(u.tolist(), z.tolist()),
+                                         tally[tally > 0].tolist())))
+
+
+def cwef_w3_punctured(code: RscCode, p_u, p_z, n: int, d_max: int) -> Cwef:
+    """Weight-3 enumerator {(u, z): count} of the punctured code over
+    u + z <= d_max, exact at every n: Weight3Events, expanded."""
+    return Weight3Events(code, as_row(p_u), as_row(p_z), n, d_max).cwef()

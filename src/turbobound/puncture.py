@@ -118,7 +118,11 @@ def punctured_core_weights(code: RscCode, p_z) -> list[int]:
     min(L - 1, M) entries can be nonzero, and the M sums, the cyclic
     correlation of the folded response with the row, read just those,
     in O(M min(L, M))."""
-    p_z = as_row(p_z)
+    return _core_weights(code, as_row(p_z))
+
+
+def _core_weights(code: RscCode, p_z: Row) -> list[int]:
+    """punctured_core_weights over a row its caller validated."""
     m_period = len(p_z)
     core = weight2_parity_response(code)[:code.period - 1]
     width = min(len(core), m_period)

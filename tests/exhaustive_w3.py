@@ -1,13 +1,17 @@
-"""Exhaustive weight-3 cross-check of the trellis DP against brute force.
+"""Exhaustive weight-3 cross-check of the closed form, the trellis DP
+and brute force.
 
 For every case of the verification grid, the weight-3 enumerator of
 exact_cwef_dp must equal the one brute_force_cwef builds by encoding
 every weight-3 input, the folded pass, which counts d = u + z alone,
 must equal that enumerator's u + z marginal, and neither pass, which
-has no distance cap, may report itself truncated.  The grid's largest
-block, n = 200, has C(200, 3) = 1,313,400 such inputs, encoded in numpy
-blocks, so the full grid takes seconds.  The file name does not match
-test_*.py, so pytest does not collect it.
+has no distance cap, may report itself truncated.  The closed form
+cwef_w3_punctured is the third side: uncapped it must equal brute
+force, and at each cap of CAPS its u + z marginal must equal the folded
+pass at that cap.  The grid's largest block, n = 200, has
+C(200, 3) = 1,313,400 such inputs, encoded in numpy blocks, so the full
+grid takes seconds.  The file name does not match test_*.py, so pytest
+does not collect it.
 
     PYTHONPATH=src python tests/exhaustive_w3.py
 
@@ -17,11 +21,14 @@ Prints each disagreeing case and exits 1 if there is one.
 import sys
 import time
 
+from turbobound.cwef import cwef_w3_punctured
 from turbobound.oracle import (brute_force_cwef, default_verification_grid,
                                diff_cwefs, exact_cwef_dp)
 from turbobound.puncture import row_from_string
 from turbobound.rsc import RscCode
 from test_oracle_differential import distance_counts
+
+CAPS = (12, 30)
 
 
 def main() -> int:
@@ -42,10 +49,20 @@ def main() -> int:
             problems.append("the folded pass is not the u + z marginal")
         if res.truncated or folded.truncated:
             problems.append("an uncapped pass reports truncated")
+        # u + z <= n + 3 holds for every input: the closed form uncapped
+        mismatch = diff_cwefs(cwef_w3_punctured(code, p_u, p_z, case.n, case.n + 3), brute)
+        if mismatch:
+            problems.append(f"closed form vs brute force: {mismatch}")
+        for cap in CAPS:
+            capped = exact_cwef_dp(code, p_u, p_z, case.n, w_max=3, d_max=cap, folded=True)
+            closed = cwef_w3_punctured(code, p_u, p_z, case.n, cap)
+            if capped.for_weight(3) != distance_counts(closed):
+                problems.append(f"closed form vs the folded pass at d_max {cap}")
         if problems:
             failed += 1
             print(f"FAIL {case.label()} :: {'; '.join(problems)}", flush=True)
-    print(f"# w = 3, trellis DP, split and folded, vs brute force: {len(cases) - failed}/"
+    print(f"# w = 3, closed form and trellis DP, split and folded, vs brute force: "
+          f"{len(cases) - failed}/"
           f"{len(cases)} cases agree ({time.perf_counter() - start:.0f} s)")
     return 1 if failed else 0
 

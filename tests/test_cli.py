@@ -162,17 +162,18 @@ def test_bound_jobs_is_inert(tmp_path, capsys):
 
 
 def count_cwef_builds(monkeypatch, *modules):
-    """Record the arguments of every cwef_w2_punctured call made through
-    the given modules' bindings."""
+    """Record the arguments of every weight-2 enumerator built through
+    the given modules' bindings of cwef._cwef_w2, the core behind
+    cwef_w2_punctured."""
     calls = []
-    real = cwef_w2_punctured
+    real = cwef._cwef_w2
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
     for module in modules:
-        monkeypatch.setattr(module, "cwef_w2_punctured", counted)
+        monkeypatch.setattr(module, "_cwef_w2", counted)
     return calls
 
 
@@ -191,14 +192,15 @@ def count_span_walks(monkeypatch):
 
 
 def test_bound_computes_constituent_cwefs_once(monkeypatch, capsys):
-    # d_free_eff, P(2)'s horizon and, at --wmax 3, the --dmax vacuity
+    # d_free_eff, P(2)'s horizon and, at --wmax 4, the --dmax vacuity
     # check read one walk of each probe-length minima (61 steps, spans
-    # k <= 4); P(2) builds the pair at n once (k <= 82); at --wmax 3 the
-    # event-span screen walks each constituent once more (k <= 66); and
-    # no cache carries any of them over to the next command
+    # k <= 4); P(2) builds the pair at n once (k <= 82); at --wmax 4 the
+    # event-span screen of the trellis path walks each constituent once
+    # more (k <= 36); and no cache carries any of them over to the next
+    # command
     calls = count_cwef_builds(monkeypatch, cwef, pccc)
     walks = count_span_walks(monkeypatch)
-    for wmax, span_walks in [("2", []), ("3", [66, 66])] * 2:
+    for wmax, span_walks in [("2", []), ("4", [36, 36])] * 2:
         calls.clear()
         walks.clear()
         code, out, _ = run(capsys, "bound", "--gr1", "23", "--gf1", "35",
@@ -216,7 +218,7 @@ def test_bound_refuses_before_building_at_n(monkeypatch, capsys):
 
     calls = count_cwef_builds(monkeypatch, cwef)
     walks = count_span_walks(monkeypatch)
-    monkeypatch.setattr(pccc, "cwef_w2_punctured", built_at_n)
+    monkeypatch.setattr(pccc, "_cwef_w2", built_at_n)
     code, out, err = run(capsys, "bound", "--gr1", "23", "--gf1", "35",
                          "--pseudo", "A", "--n", "1000000", "--wmax", "4")
     assert code == 2 and out == ""
@@ -228,8 +230,8 @@ def test_bound_refuses_before_building_at_n(monkeypatch, capsys):
 
 
 def test_bound_reads_a_large_n_off_a_short_pass(monkeypatch, capsys):
-    # the certified event span stops each constituent's trellis pass far
-    # short of n; the passes to n = 10^6 took about 150 s
+    # at --wmax 4 the certified event span stops each constituent's
+    # trellis pass far short of n = 10^5, which C(n, 4) < 2^62 allows
     lengths = []
     real = pccc.exact_cwef_dp
 
@@ -239,9 +241,23 @@ def test_bound_reads_a_large_n_off_a_short_pass(monkeypatch, capsys):
 
     monkeypatch.setattr(pccc, "exact_cwef_dp", recorded)
     code, out, _ = run(capsys, "bound", "--gr1", "23", "--gf1", "35",
+                       "--pseudo", "A", "--n", "100000", "--wmax", "4")
+    assert code == 0 and "# terms_dropped = 1" in out
+    assert len(lengths) == 2 and max(lengths) <= 1000
+
+
+def test_bound_wmax3_runs_no_trellis_at_a_large_n(monkeypatch, capsys):
+    # at --wmax 3 both constituents read their counts off the closed
+    # forms at n = 10^6: no trellis pass and no span certificate; the
+    # short passes took about 0.33 s, the passes to n about 150 s
+    def refused(*args, **kwargs):
+        raise AssertionError("the trellis ran")
+
+    monkeypatch.setattr(pccc, "exact_cwef_dp", refused)
+    monkeypatch.setattr(pccc, "event_span_bound", refused)
+    code, out, _ = run(capsys, "bound", "--gr1", "23", "--gf1", "35",
                        "--pseudo", "A", "--n", "1000000", "--wmax", "3")
     assert code == 0 and "# terms_dropped = 1" in out
-    assert len(lengths) == 2 and max(lengths) < 1000
 
 
 def test_bound_refuses_vacuous_dmax_before_the_dp(monkeypatch, capsys):
@@ -454,7 +470,7 @@ def test_out_refused_before_the_work(monkeypatch, tmp_path, capsys, argv,
         raise AssertionError("work started before --out was checked")
 
     for module in (cli, cwef):
-        monkeypatch.setattr(module, "cwef_w2_punctured", no_work)
+        monkeypatch.setattr(module, "_cwef_w2", no_work)
     monkeypatch.setattr(oracle, "run_case", no_work)
     target = tmp_path / where
     code, out, err = run(capsys, *argv, "--out", str(target))

@@ -2,8 +2,10 @@
 
 `constituent_cwefs` must give exactly the u + z marginal of what
 `exact_cwef_dp` gives at the requested n, flag included, whether it
-reads the counts off a shorter folded pass or falls back to the folded
-pass at n.  `event_span_bound` must bound the span of every weight-2
+reads the counts off the closed forms, off a shorter folded pass, or
+falls back to the folded pass at n.  At w_max = 3 the closed forms
+take most constituents, so the tests of the trellis path run at
+w_max = 4.  `event_span_bound` must bound the span of every weight-2
 path the closed form knows, and its zero-weight cycle screen must agree
 with walking every cycle.  A weight-2 path that already outlasts the
 walk's limit within d_max skips the walk, which could only give up.
@@ -66,8 +68,10 @@ def assert_matches_dp(code, p_u, p_z, n, w_max, d_max):
        st.integers(8, 60))
 # a parity row of zeros: a zero-weight cycle, so no span bound
 @example((CODE_15_17, (1,), (0,)), 2500, 3, 40)
-# S = 106: n = 108 leaves no shorter pass, n = 130 one of 108 steps
-@example((CODE_15_17, (1,), (1,)), 108, 3, 60)
+# S = 106: at w_max 4, n = 215 leaves no shorter pass, n = 260 one of
+# 215 steps; at w_max 3 the closed forms take n = 130
+@example((CODE_15_17, (1,), (1,)), 215, 4, 60)
+@example((CODE_15_17, (1,), (1,)), 260, 4, 60)
 @example((CODE_15_17, (1,), (1,)), 130, 3, 60)
 def test_bound_path_matches_the_dp_at_n(case, n, w_max, d_max):
     assert_matches_dp(*case, n, w_max, d_max)
@@ -86,7 +90,7 @@ def pass_lengths(monkeypatch):
 
 @pytest.mark.parametrize("gr,gf,variant,w_max,base", [
     ("15", "17", "B", 4, 1500),   # M = 7, two events
-    ("23", "35", "A", 3, 1000),   # M = 15, one event
+    ("23", "35", "A", 4, 1000),   # M = 15, two events
 ])
 def test_every_residue_of_n(monkeypatch, gr, gf, variant, w_max, base):
     code = RscCode.from_octals(gr, gf)
@@ -100,23 +104,23 @@ def test_every_residue_of_n(monkeypatch, gr, gf, variant, w_max, base):
 
 def test_unbounded_span_and_short_blocks_take_the_pass_at_n(monkeypatch):
     lengths = pass_lengths(monkeypatch)
-    assert span(CODE_15_17, (1,), (0,), 3, 40) is None
-    constituent_cwefs(CODE_15_17, (1,), (0,), 2500, 3, 40)
-    assert span(CODE_15_17, (1,), (1,), 3, 60) == 106
-    # the pass of 108 steps pays once the certificate's 106 steps, at
-    # their cost, and that pass fit below n
-    first = 3 + ceil(106 * (1 + span_step_cost(CODE_15_17, 3, 60, 1)))
-    for n in (108, first - 1, first, 2500):
-        constituent_cwefs(CODE_15_17, (1,), (1,), n, 3, 60)
-    assert lengths == [2500, 108, first - 1, 108, 108]
+    assert span(CODE_15_17, (1,), (0,), 4, 40) is None
+    constituent_cwefs(CODE_15_17, (1,), (0,), 2500, 4, 40)
+    assert span(CODE_15_17, (1,), (1,), 4, 60) == 106
+    # two events: the pass of 2 * 106 + 3 = 215 steps pays once the
+    # certificate's 106 steps, at their cost, and that pass fit below n
+    first = 4 + ceil(106 * (2 + span_step_cost(CODE_15_17, 4, 60, 1)))
+    for n in (215, first - 1, first, 2500):
+        constituent_cwefs(CODE_15_17, (1,), (1,), n, 4, 60)
+    assert lengths == [2500, 215, first - 1, 215, 215]
 
 
 def test_a_certificate_larger_than_the_pass_is_never_run(monkeypatch):
     # a degree-12 feedback behind pseudo A has M = 4095: the certificate
-    # would hold about 2.8 GB where the pass at n holds 143 MiB
+    # would hold about 3.8 GB where the split pass at n holds 212 MiB
     code = RscCode.from_octals("10123", "1")
     c = pseudo_random_pattern(code, "A").constituent1()
-    assert span_step_cost(code, 3, 120, 4095) is None
+    assert span_step_cost(code, 4, 120, 4095) is None
     lengths = []
 
     def refused(*args, **kwargs):
@@ -128,7 +132,7 @@ def test_a_certificate_larger_than_the_pass_is_never_run(monkeypatch):
 
     monkeypatch.setattr(pccc, "event_span_bound", refused)
     monkeypatch.setattr(pccc, "exact_cwef_dp", recorded)
-    constituent_cwefs(code, c.p_u, c.p_z, 12_286, 3, 120)
+    constituent_cwefs(code, c.p_u, c.p_z, 12_286, 4, 120)
     assert lengths == [12_286]
 
 
@@ -210,17 +214,19 @@ def test_a_weight2_path_past_the_limit_leaves_the_walk_nothing(case, w_max, d_ma
 
 
 def test_a_weight2_witness_skips_the_walk(monkeypatch):
-    # 23/35 with p_z = 110000 at d_max 120: a weight-2 path of span
-    # 60 L + 1 = 901 weighs 120, past the walk's limit of 896 steps at
-    # n = 1000, so the walk, which would give up there, is not started
+    # 23/35 with p_z = 110000 at w_max 4 and d_max 120: a weight-2 path
+    # of span 31 L + 1 = 466 weighs 63, past the walk's limit of 452
+    # steps at n = 1000, so the walk, which would give up there, is not
+    # started
     code, p_u, p_z = RscCode.from_octals("23", "35"), (0,) * 6, (1, 1, 0, 0, 0, 0)
-    assert span(code, p_u, p_z, 3, 120) == 928
-    assert event_span_bound(code, p_u, p_z, 3, 120, limit=896) is None
+    assert span(code, p_u, p_z, 4, 120) == 940
+    assert weight2_span_minimum(code, p_u, p_z, 31) == 63
+    assert event_span_bound(code, p_u, p_z, 4, 120, limit=452) is None
 
     def refused(*args, **kwargs):
         raise AssertionError("the certificate ran")
 
     lengths = pass_lengths(monkeypatch)
     monkeypatch.setattr(pccc, "event_span_bound", refused)
-    assert_matches_dp(code, p_u, p_z, 1000, 3, 120)
+    assert_matches_dp(code, p_u, p_z, 1000, 4, 120)
     assert lengths == [1000]

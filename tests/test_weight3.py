@@ -1,0 +1,116 @@
+"""The weight-3 closed form against the trellis and brute force.
+
+cwef_w3_punctured must equal the weight-3 enumerator of the split
+exact_cwef_dp at every cap, and brute_force_cwef where C(n, 3) is
+small, over every feedback of degree 1-5: primitive ones, ones of lower
+order with weight-3 events (25 of order 6, 43 of order 21) and ones
+with none (5, 17 and 37).  When a single 1 at step 0 weighs more
+than d_max by step n - 1, the trellis flag is True, which is what lets
+constituent_cwefs skip the trellis.  The choice between the closed form
+and the trellis is priced.
+"""
+
+from math import comb
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import turbobound.cwef as cwef
+import turbobound.pccc as pccc
+from turbobound.cwef import Weight3Events, cwef_w3_punctured
+from turbobound.oracle import brute_force_cwef, exact_cwef_dp
+from turbobound.pccc import constituent_cwefs
+from turbobound.puncture import PcccPunctureSet, row_from_string
+from turbobound.rsc import RscCode
+from test_oracle_differential import codes, distance_counts, rows
+
+
+def code(gr, gf):
+    return RscCode.from_octals(gr, gf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(codes(nu_max=5), rows(6), rows(6), st.integers(1, 90), st.integers(1, 60))
+@example(code("43", "21"), (1, 0, 1), (0, 1, 1), 61, 40)
+@example(code("25", "37"), (1,), (1,), 90, 60)
+@example(code("37", "25"), (1,), (1,), 90, 60)
+@example(code("5", "7"), (1,), (1,), 50, 30)
+@example(code("17", "15"), (1, 1), (0, 1), 70, 60)
+@example(code("15", "17"), (0,), (1, 0, 0, 0, 0, 0), 90, 12)
+def test_closed_form_equals_the_trellis_and_brute_force(c, p_u, p_z, n, d_max):
+    closed = cwef_w3_punctured(c, p_u, p_z, n, d_max)
+    res = exact_cwef_dp(c, p_u, p_z, n, 3, d_max)
+    assert closed.terms == res.for_weight(3).terms
+    if comb(n, 3) <= 50_000:
+        brute = brute_force_cwef(c, p_u, p_z, n, 3)
+        assert closed.terms == {k: v for k, v in brute.terms.items() if sum(k) <= d_max}
+        # u + z <= n + 3 holds for every input
+        assert cwef_w3_punctured(c, p_u, p_z, n, n + 3).terms == brute.terms
+    if Weight3Events(c, p_u, p_z, n, d_max).lone > d_max:
+        assert res.truncated
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes(nu_max=5), rows(6), rows(6), st.integers(1, 600), st.integers(1, 60))
+def test_the_bound_path_matches_the_folded_pass(c, p_u, p_z, n, d_max):
+    by_weight, truncated = constituent_cwefs(c, p_u, p_z, n, 3, d_max)
+    res = exact_cwef_dp(c, p_u, p_z, n, 3, d_max, folded=True)
+    assert truncated == res.truncated
+    assert by_weight == res.by_weight
+
+
+def test_feedbacks_with_no_weight3_event():
+    # 1 + D divides 5, 17 and 10001, and 1 + alpha^a is no power of a
+    # root alpha of 37: no three 1s leave the zero state and return to
+    # it.  25 and 43 are not primitive either, but have such inputs
+    for gr in ("5", "17", "10001", "37"):
+        c = code(gr, "1")
+        assert Weight3Events(c, (1,), (1,), 200, 512).count() == (0, 0)
+        assert cwef_w3_punctured(c, (1,), (1,), 200, 512).terms == {}
+    for gr in ("25", "43"):
+        assert Weight3Events(code(gr, "1"), (1,), (1,), 200, 512).count()[0] > 0
+
+
+def test_exact_at_every_n_with_no_pass():
+    # the counts of a weight-3 event grow by one start every M steps,
+    # whatever the residue of n; the pass at n checks each
+    c = code("23", "35")
+    p_u, p_z = (0, 1, 1), (1, 0, 1, 1, 0)
+    for n in range(300, 316):
+        got = distance_counts(cwef_w3_punctured(c, p_u, p_z, n, 24))
+        assert got == exact_cwef_dp(c, p_u, p_z, n, 3, 24, folded=True).for_weight(3)
+
+
+def test_a_long_event_list_takes_the_trellis(monkeypatch):
+    # 15/17 with par2 01000 at d_max 512: constituent 2 has about 6.2
+    # million weight-3 events, priced above the certificate and the
+    # short pass after it, so the trellis runs and no event is expanded
+    c = code("15", "17")
+    pset = PcccPunctureSet(*map(row_from_string, ("10111", "01011", "01000")))
+    c2 = pset.constituent2()
+    events = Weight3Events(c, c2.p_u, c2.p_z, 100_000, 512)
+    assert events.lone > 512 and events.count()[0] == 6_152_722
+
+    def refused(self):
+        raise AssertionError("the events were expanded")
+
+    lengths = []
+    real = pccc.exact_cwef_dp
+
+    def recorded(code, p_u, p_z, n, *args, **kwargs):
+        lengths.append(n)
+        return real(code, p_u, p_z, n, *args, **kwargs)
+
+    monkeypatch.setattr(cwef.Weight3Events, "cwef", refused)
+    monkeypatch.setattr(pccc, "exact_cwef_dp", recorded)
+    _, truncated = constituent_cwefs(c, c2.p_u, c2.p_z, 100_000, 3, 512)
+    assert truncated and len(lengths) == 1 and lengths[0] < 10_000
+
+
+def test_refuses_what_it_cannot_count():
+    # C(4 * 10^6, 3) passes 2^63, which would wrap the int64 tally
+    c = code("7", "5")
+    for n, d_max in ((0, 10), (10, -1), (4_000_000, 10)):
+        with pytest.raises(ValueError):
+            cwef_w3_punctured(c, (1,), (1,), n, d_max)
