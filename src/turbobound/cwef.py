@@ -266,16 +266,16 @@ def weight2_table(code: RscCode, m_period: int, n: int) -> Weight2Table:
                         tuple(u_cols), tuple(z_cols))
 
 
-# Weight3Events expands about _W3_CHUNK events at once, and builds the
-# pairs (c0, a) in blocks of _W3_PAIRS, holding one block from the count
-# to the expansion: together they bound the arrays it holds
+# Weight3Events expands about _W3_CHUNK progressions at once, from pairs
+# (c0, a) built in blocks of _W3_PAIRS: together they bound the arrays
+# it holds
 _W3_CHUNK = 1 << 12
 _W3_PAIRS = 1 << 14
 
 
 class Weight3Events:
     """The weight-3 events of an n-step block whose u + z is at most
-    d_max, counted before any is expanded.
+    d_max, tallied by arithmetic progression.
 
     Write the input as 1s at t, t + a and t + b, 0 < a < b, with start
     column c0 = t mod M, and call the state q steps after a single 1
@@ -292,11 +292,11 @@ class Weight3Events:
     event (c0, a, b) has (n - 1 - b - c0) div M + 1 starts that fit.
 
     A walk never weighs less for being longer, so the events of each
-    (c0, a) that keep u + z within d_max lie among the first b of the
-    progression, found by one search in the prefix sums.  count() counts
-    those before any is expanded; `lone` is the u + z of a single 1 at
-    step 0 walked to step n - 1.  cwef() expands them by chunks of about
-    _W3_CHUNK events."""
+    (c0, a) within d_max are the first of its family, found by one
+    search in the prefix sums; `lone` is the u + z of a single 1 at step
+    0 walked to step n - 1.  Events i and i + P/L of a family end in the
+    same column, one cycle weight W and P/M starts apart, so cwef()
+    tallies at most P/L progressions per family, from their heads."""
 
     def __init__(self, code: RscCode, p_u: Row, p_z: Row, n: int, d_max: int):
         if n < 1 or d_max < 0:
@@ -348,22 +348,6 @@ class Weight3Events:
         third = self._remerge * pz
         self._third_d, self._third_key = pu + third, pu * (d_max + 1) + third
         self._pairs = int(self._ends[-1])
-        self._kept = None
-
-    def count(self) -> tuple[int, int]:
-        """(events, span): how many events the expansion will tally, and
-        the longest of them, diverging step to remerging step."""
-        events = span = 0
-        # one block is held for the expansion; more are built again there
-        kept = [] if self._pairs <= _W3_PAIRS else None
-        for block in self._blocks():
-            count, spans = block[0], block[-1]
-            events += int(count.sum())
-            span = max(span, int(spans.max(initial=0)))
-            if kept is not None:
-                kept.append(block)
-        self._kept = kept
-        return events, span
 
     def _walk(self, qc, length):
         """The parity sent by a zero-input walk of each length from each
@@ -391,9 +375,8 @@ class Weight3Events:
         cycle sits in the prefix sums and what it sends per turn; key
         and d, the tally index and u + z of the two 1s less the prefix
         sum at the walk's start; col, where a walk of length 0 would
-        put the third 1; rest, n - 2 - a - c0 + M, so that an event
-        whose walk has length l has (rest - l) div M starts; and spans,
-        the longest event's span."""
+        put the third 1; and rest, n - 2 - a - c0 + M, so that an event
+        whose walk has length l has (rest - l) div M starts."""
         import numpy as np
         n, d_max = self._n, self._d_max
         l_period, m_period, pu, pz = self._l, self._m, self._pu, self._pz
@@ -412,39 +395,69 @@ class Weight3Events:
             longest = np.minimum(self._reach(qc, d_max - u - z), n - 2 - c0 - a)
             fits = (r >= 0) & (longest >= first)
             c0, a, u, z, qc, first = (x[fits] for x in (c0, a, u, z, qc, first))
-            count = (longest[fits] - first) // l_period + 1
             at = self._at[qc]
             z -= self._prefix[at]
             col = c0 + a + 1
-            yield (count, first, at, self._whole[qc], u * (d_max + 1) + z, u + z, col,
-                   n - 1 - col + m_period, a + first + (count - 1) * l_period + 2)
+            yield ((longest[fits] - first) // l_period + 1, first, at, self._whole[qc],
+                   u * (d_max + 1) + z, u + z, col, n - 1 - col + m_period)
 
     def cwef(self) -> Cwef:
-        """The weight-3 enumerator {(u, z): count} over u + z <= d_max."""
+        """The weight-3 enumerator {(u, z): count} over u + z <= d_max.
+
+        A progression of J terms from tally cell x with s starts has, for
+        W > 0, second differences s at x, -P/M - s at x + W, J P/M - s at
+        x + J W and s - (J - 1) P/M at x + (J + 1) W along stride W, which
+        two sums restore; for W = 0 its terms all land on x.  int64 sums
+        may wrap between, but each final count is below C(n, 3) < 2^63."""
         import numpy as np
-        d_max, l_period, m_period = self._d_max, self._l, self._m
-        tally = np.zeros(4 * (d_max + 1), dtype=np.int64)
-        for count, first, at, per_cycle, key, d, col, rest, _ in (
-                self._kept if self._kept is not None else self._blocks()):
+        d_max, l_period, m_period, cycle = self._d_max, self._l, self._m, self._cycle
+        size = 4 * (d_max + 1)
+        tally = np.zeros(size, dtype=np.int64)
+        # a progression's terms are stride events apart, each with lost
+        # fewer starts than the last
+        stride, lost = cycle // l_period, cycle // m_period
+        # a table per positive W, back to back, each 2 W cells past the
+        # tally; a set, as np.unique imports numpy.ma
+        widths = np.array(sorted({*self._whole.tolist()} - {0}), dtype=np.int64)
+        lengths = -(-(size + 2 * widths) // widths) * widths
+        bases = np.cumsum(lengths) - lengths
+        diffs = np.zeros(int(lengths.sum()), dtype=np.int64)
+        for count, first, at, per_cycle, key, d, col, rest in self._blocks():
             if not count.size:
                 continue
-            ends = np.cumsum(count)
-            # event e of the block, the i-th of its pair, walks
-            # first + i L = origin + e L steps after the second 1
-            origin = first - l_period * (ends - count)
-            # chunks of whole pairs, one starting at each _W3_CHUNK-th event
-            heads = np.searchsorted(ends, np.arange(0, ends[-1], _W3_CHUNK), "right")
-            cuts = [*dict.fromkeys(heads.tolist()), ends.size]
+            heads = np.minimum(count, stride)
+            ends = np.cumsum(heads)
+            begins = ends - heads
+            # chunks of whole pairs, one starting at each _W3_CHUNK-th head
+            cuts = np.searchsorted(ends, np.arange(0, ends[-1], _W3_CHUNK), "right")
+            cuts = [*dict.fromkeys(cuts.tolist()), ends.size]
             for lo, hi in zip(cuts, cuts[1:]):
-                rep = np.repeat(np.arange(lo, hi), count[lo:hi])
-                length = origin[rep] + np.arange(
-                    (ends[lo] - count[lo]) * l_period, ends[hi - 1] * l_period, l_period)
-                turns, part = np.divmod(length, self._cycle)
-                walk = turns * per_cycle[rep] + self._prefix[at[rep] + part]
+                rep = np.repeat(np.arange(lo, hi), heads[lo:hi])
+                # head h of its pair walks first + h L steps after the
+                # second 1, and its progression spans the events left
+                h = np.arange(begins[lo], ends[hi - 1]) - begins[rep]
+                terms = (count[rep] - h - 1) // stride + 1
+                length = first[rep] + h * l_period
+                w = per_cycle[rep]
+                walk = length // cycle * w + self._prefix[at[rep] + length % cycle]
                 third = (col[rep] + length) % m_period
-                fit = d[rep] + walk + self._third_d[third] <= d_max
-                index = key[rep] + walk + self._third_key[third]
-                np.add.at(tally, index[fit], ((rest[rep] - length) // m_period)[fit])
+                room = d_max - d[rep] - walk - self._third_d[third]
+                x = key[rep] + walk + self._third_key[third]
+                s = (rest[rep] - length) // m_period
+                flat = (room >= 0) & (w == 0)
+                j = terms[flat]
+                np.add.at(tally, x[flat], j * s[flat] - lost * j * (j - 1) // 2)
+                sloped = (room >= 0) & (w > 0)
+                w, s, x = w[sloped], s[sloped], x[sloped]
+                j = np.minimum(terms[sloped], room[sloped] // w + 1)
+                x += bases[np.searchsorted(widths, w)]
+                np.add.at(diffs, np.concatenate((x, x + w, x + j * w, x + (j + 1) * w)),
+                          np.concatenate((s, -lost - s, j * lost - s, s - (j - 1) * lost)))
+        for width, base, length in zip(widths.tolist(), bases.tolist(), lengths.tolist()):
+            table = diffs[base:base + length].reshape(-1, width)
+            np.cumsum(table, axis=0, out=table)
+            np.cumsum(table, axis=0, out=table)
+            tally += table.ravel()[:size]
         u, z = np.divmod(np.flatnonzero(tally), d_max + 1)
         return Cwef(3, self._n, dict(zip(zip(u.tolist(), z.tolist()),
                                          tally[tally > 0].tolist())))

@@ -39,16 +39,16 @@ _DP_VIEW_BYTES = 320
 # event_span_bound's bytes per node: two int64 each in pred, add and
 # cand, one in dist
 _SPAN_NODE_BYTES = 56
-# step costs in ns, measured on a 2-CPU Xeon with Python 3.11: a
-# trellis step pays per transition and per cell a transition adds, a
-# certificate step once and per node it gathers, and cwef.Weight3Events
-# per event it expands
-_DP_TRANSITION_NS, _DP_CELL_NS = 1100, 0.54
-_SPAN_STEP_NS, _SPAN_NODE_NS = 5000, 5.6
-_W3_EVENT_NS = 50
+# step costs in ns, fit on a 2-CPU Xeon with Python 3.11 and numpy 2.4
+# (4-64 states, d_max 60-512, 12-7,936 certificate nodes): a trellis
+# step pays per transition and per cell a transition adds, a
+# certificate step once and per node it gathers
+_DP_TRANSITION_NS, _DP_CELL_NS = 500, 0.39
+_SPAN_STEP_NS, _SPAN_NODE_NS = 5500, 4.7
 # cwef.Weight3Events's bytes per (orbit phase, column) pair at its peak:
 # int64 prefix sums and parity bits over two turns of each cycle, their
-# index temporaries, and where each pair sits and what its cycle weighs
+# index temporaries, and where each pair sits and what its cycle weighs;
+# the tally's difference tables, at most 24, come after the temporaries
 _W3_PAIR_BYTES = 64
 
 
@@ -105,12 +105,6 @@ def _dp_bytes(code: RscCode, w_max: int, d_cap: int, size_u: int) -> int:
                             + 16 * _DP_VIEW_BYTES)
 
 
-def _dp_step_ns(code: RscCode, w_max: int, d_cap: int) -> float:
-    # one step of the folded pass: two transitions out of every state
-    cells = (w_max + 1) * (d_cap + 3)
-    return 2 * code.n_states * (_DP_TRANSITION_NS + _DP_CELL_NS * cells)
-
-
 def span_step_cost(code: RscCode, w_max: int, d_cap: int, m_period: int) -> float | None:
     """What a step of event_span_bound costs, in steps of the folded
     trellis pass with d cap d_cap, or None when the certificate would
@@ -118,16 +112,15 @@ def span_step_cost(code: RscCode, w_max: int, d_cap: int, m_period: int) -> floa
     nodes = w_max * code.n_states * m_period
     if nodes * _SPAN_NODE_BYTES > _dp_bytes(code, w_max, d_cap, 1):
         return None
-    return (_SPAN_STEP_NS + _SPAN_NODE_NS * nodes) / _dp_step_ns(code, w_max, d_cap)
+    # a step of the folded pass takes two transitions out of every state
+    dp_step = 2 * code.n_states * (_DP_TRANSITION_NS + _DP_CELL_NS * (w_max + 1) * (d_cap + 3))
+    return (_SPAN_STEP_NS + _SPAN_NODE_NS * nodes) / dp_step
 
 
-def event_cost(code: RscCode, w_max: int, d_cap: int, m_period: int) -> float | None:
-    """What cwef.Weight3Events pays per weight-3 event it expands, in
-    steps of the folded trellis pass with d cap d_cap, or None when its
-    table would hold more memory than that pass."""
-    if _W3_PAIR_BYTES * code.period * m_period > _dp_bytes(code, w_max, d_cap, 1):
-        return None
-    return _W3_EVENT_NS / _dp_step_ns(code, w_max, d_cap)
+def event_tables_fit(code: RscCode, w_max: int, d_cap: int, m_period: int) -> bool:
+    """Whether the walk tables of cwef.Weight3Events hold no more memory
+    than the folded trellis pass with d cap d_cap."""
+    return _W3_PAIR_BYTES * code.period * m_period <= _dp_bytes(code, w_max, d_cap, 1)
 
 
 def exact_cwef_dp(code: RscCode, p_u, p_z, n: int, w_max: int,

@@ -20,7 +20,7 @@ from operator import mul
 
 from .cwef import (Cwef, Weight3Events, _cwef_w2, weight2_minima, weight2_span_minimum,
                    weight2_total)
-from .oracle import (check_dp_limits, counts_from_cells, event_cost, event_span_bound,
+from .oracle import (check_dp_limits, counts_from_cells, event_span_bound, event_tables_fit,
                      exact_cwef_dp, span_step_cost)
 from .puncture import PcccPunctureSet, code_rate
 from .rsc import RscCode
@@ -367,16 +367,15 @@ def constituent_cwefs(code: RscCode, p_u, p_z, n: int, w_max: int,
                       d_max: int) -> tuple[dict[int, dict[int, int]], bool]:
     """The {d: count} by input weight and the truncated flag of the
     folded exact_cwef_dp(code, p_u, p_z, n, w_max, d_max), from the
-    closed forms at w_max = 3 where they cost less than the trellis,
-    else from a pass much shorter than n wherever the event span allows
-    one and the certificate that finds the span costs less than it saves.
+    closed forms at w_max = 3 wherever they settle the flag, else from a
+    pass much shorter than n wherever the event span allows one and the
+    certificate that finds the span costs less than it saves.
 
     The closed forms are cwef_w2_punctured and Weight3Events, exact at
     every n.  The path of a single 1 at step 0 is a prefix of n steps,
-    so when it weighs more than d_max the trellis's flag is True; when
-    it does not, the trellis computes the flag.  The trellis is priced
-    as the certificate and the short pass would run it, with the
-    longest event standing in for their span.
+    so when it weighs more than d_max the trellis's flag is True, and
+    the closed forms run unless their walk tables would outgrow the
+    pass; when it does not, the trellis computes the flag.
 
     A terminated path of weight w <= w_max is at most j = w_max // 2
     error events, each at most S = event_span_bound(...) steps long when
@@ -393,24 +392,17 @@ def constituent_cwefs(code: RscCode, p_u, p_z, n: int, w_max: int,
     """
     d_cap = check_dp_limits(code, n, w_max, d_max)
     m_period, j = lcm(len(p_u), len(p_z)), w_max // 2
+    if w_max == 3 and event_tables_fit(code, w_max, d_cap, m_period):
+        weight3 = Weight3Events(code, p_u, p_z, n, d_max)
+        if weight3.lone > d_max:
+            weight2 = _cwef_w2(code, p_u, p_z, n, d_max + 1)
+            return {1: {}, 2: _marginal(weight2, 1, d_max + 1),
+                    3: _marginal(weight3.cwef(), 1)}, True
     # the certificate walks at most limit steps, each worth cost steps of
     # the trellis pass, and the pass after it takes at most
     # j limit + (j + 2) M - 1 steps: together fewer than the pass at n
     cost = span_step_cost(code, w_max, d_cap, m_period)
     limit = 0 if cost is None else int((n - (j + 2) * m_period) // (j + cost))
-    per_event = event_cost(code, w_max, d_cap, m_period) if w_max == 3 else None
-    if per_event is not None:
-        weight3 = Weight3Events(code, p_u, p_z, n, d_max)
-        if weight3.lone > d_max:
-            events, longest = weight3.count()
-            # the trellis steps: the pass at n, or the certificate and the
-            # short pass over a span at least the longest event's
-            steps = (n if cost is None or longest > limit
-                     else longest * (j + cost) + (j + 2) * m_period)
-            if events * per_event < steps:
-                weight2 = _cwef_w2(code, p_u, p_z, n, d_max + 1)
-                return {1: {}, 2: _marginal(weight2, 1, d_max + 1),
-                        3: _marginal(weight3.cwef(), 1)}, True
     # a weight-2 event of span kL + 1 whose u + z is at most d_max makes
     # S > kL, so when one reaches the limit the walk can only give up
     span = None

@@ -10,8 +10,11 @@ cwef_w3_punctured is the third side: uncapped it must equal brute
 force, and at each cap of CAPS its u + z marginal must equal the folded
 pass at that cap.  The grid's largest block, n = 200, has
 C(200, 3) = 1,313,400 such inputs, encoded in numpy blocks, so the full
-grid takes seconds.  The file name does not match test_*.py, so pytest
-does not collect it.
+grid takes seconds.  The closed form tallies its events by arithmetic
+progression, and at n = 200 a pair (c0, a) seldom holds a second one,
+so a sweep then checks it against the folded pass at each n of LARGE_N
+and d_max LARGE_CAP for every (code, pattern) of the grid.  The file
+name does not match test_*.py, so pytest does not collect it.
 
     PYTHONPATH=src python tests/exhaustive_w3.py
 
@@ -22,13 +25,14 @@ import sys
 import time
 
 from turbobound.cwef import cwef_w3_punctured
-from turbobound.oracle import (brute_force_cwef, default_verification_grid,
+from turbobound.oracle import (GridCase, brute_force_cwef, default_verification_grid,
                                diff_cwefs, exact_cwef_dp)
 from turbobound.puncture import row_from_string
 from turbobound.rsc import RscCode
 from test_oracle_differential import distance_counts
 
 CAPS = (12, 30)
+LARGE_N, LARGE_CAP = (2000, 5000), 60
 
 
 def main() -> int:
@@ -64,7 +68,23 @@ def main() -> int:
     print(f"# w = 3, closed form and trellis DP, split and folded, vs brute force: "
           f"{len(cases) - failed}/"
           f"{len(cases)} cases agree ({time.perf_counter() - start:.0f} s)")
-    return 1 if failed else 0
+    start = time.perf_counter()
+    patterns = dict.fromkeys((c.feedback, c.feedforward, c.p_u, c.p_z) for c in cases)
+    large = [GridCase(*pattern, n) for pattern in patterns for n in LARGE_N]
+    large_failed = 0
+    for case in large:
+        code = RscCode.from_octals(case.feedback, case.feedforward)
+        p_u, p_z = row_from_string(case.p_u), row_from_string(case.p_z)
+        capped = exact_cwef_dp(code, p_u, p_z, case.n, w_max=3, d_max=LARGE_CAP, folded=True)
+        closed = cwef_w3_punctured(code, p_u, p_z, case.n, LARGE_CAP)
+        if capped.for_weight(3) != distance_counts(closed):
+            large_failed += 1
+            print(f"FAIL {case.label()} :: closed form vs the folded pass at "
+                  f"d_max {LARGE_CAP}", flush=True)
+    print(f"# w = 3, closed form vs the folded pass at d_max {LARGE_CAP}: "
+          f"{len(large) - large_failed}/{len(large)} cases agree "
+          f"({time.perf_counter() - start:.0f} s)")
+    return 1 if failed or large_failed else 0
 
 
 if __name__ == "__main__":

@@ -196,11 +196,15 @@ def test_bound_computes_constituent_cwefs_once(monkeypatch, capsys):
     # check read one walk of each probe-length minima (61 steps, spans
     # k <= 4); P(2) builds the pair at n once (k <= 82); at --wmax 4 the
     # event-span screen of the trellis path walks each constituent once
-    # more (k <= 36); and no cache carries any of them over to the next
-    # command
+    # more, to the certificate's step budget (k <= 33 with the step
+    # constants of oracle); and no cache carries any of them over to the
+    # next command
+    code23 = RscCode.from_octals("23", "35")
+    budget = (1234 - 4 * 15) // (2 + oracle.span_step_cost(code23, 4, 120, 15))
+    k = -(-int(budget) // code23.period)
     calls = count_cwef_builds(monkeypatch, cwef, pccc)
     walks = count_span_walks(monkeypatch)
-    for wmax, span_walks in [("2", []), ("4", [36, 36])] * 2:
+    for wmax, span_walks in [("2", []), ("4", [k, k])] * 2:
         calls.clear()
         walks.clear()
         code, out, _ = run(capsys, "bound", "--gr1", "23", "--gf1", "35",

@@ -6,8 +6,10 @@ small, over every feedback of degree 1-5: primitive ones, ones of lower
 order with weight-3 events (25 of order 6, 43 of order 21) and ones
 with none (5, 17 and 37).  When a single 1 at step 0 weighs more
 than d_max by step n - 1, the trellis flag is True, which is what lets
-constituent_cwefs skip the trellis.  The choice between the closed form
-and the trellis is priced.
+constituent_cwefs skip the trellis; at w_max = 3 it then runs no pass
+unless the walk tables would outgrow it.  Events are tallied by
+arithmetic progression, so a differential test draws n large enough
+that one (c0, a) holds several.
 """
 
 from math import comb
@@ -16,7 +18,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import turbobound.cwef as cwef
 import turbobound.pccc as pccc
 from turbobound.cwef import Weight3Events, cwef_w3_punctured
 from turbobound.oracle import brute_force_cwef, exact_cwef_dp
@@ -65,11 +66,9 @@ def test_feedbacks_with_no_weight3_event():
     # root alpha of 37: no three 1s leave the zero state and return to
     # it.  25 and 43 are not primitive either, but have such inputs
     for gr in ("5", "17", "10001", "37"):
-        c = code(gr, "1")
-        assert Weight3Events(c, (1,), (1,), 200, 512).count() == (0, 0)
-        assert cwef_w3_punctured(c, (1,), (1,), 200, 512).terms == {}
+        assert cwef_w3_punctured(code(gr, "1"), (1,), (1,), 200, 512).terms == {}
     for gr in ("25", "43"):
-        assert Weight3Events(code(gr, "1"), (1,), (1,), 200, 512).count()[0] > 0
+        assert cwef_w3_punctured(code(gr, "1"), (1,), (1,), 200, 512).terms
 
 
 def test_exact_at_every_n_with_no_pass():
@@ -82,30 +81,43 @@ def test_exact_at_every_n_with_no_pass():
         assert got == exact_cwef_dp(c, p_u, p_z, n, 3, 24, folded=True).for_weight(3)
 
 
-def test_a_long_event_list_takes_the_trellis(monkeypatch):
+@settings(max_examples=80, deadline=None)
+@given(codes(nu_max=4), rows(6), rows(6), st.integers(500, 3000), st.integers(1, 250))
+@example(code("7", "5"), (1,), (0, 0, 1), 3000, 60)
+def test_progressions_that_repeat_match_the_folded_pass(c, p_u, p_z, n, d_max):
+    # n is large enough that a pair (c0, a) holds several progressions,
+    # each of several events.  In the example (228,697 events (c0, a, b))
+    # the orbit cycle after the second 1 sends no parity, so each
+    # progression piles up on one cell
+    closed = cwef_w3_punctured(c, p_u, p_z, n, d_max)
+    res = exact_cwef_dp(c, p_u, p_z, n, 3, d_max, folded=True)
+    assert distance_counts(closed) == res.for_weight(3)
+
+
+def test_a_long_event_list_takes_the_closed_form(monkeypatch):
     # 15/17 with par2 01000 at d_max 512: constituent 2 has about 6.2
-    # million weight-3 events, priced above the certificate and the
-    # short pass after it, so the trellis runs and no event is expanded
+    # million weight-3 events, one progression per (c0, a) as
+    # lcm(L, M) = L, and runs no pass; its counts are those of the
+    # certificate and the short pass, run when the tables may not fit
     c = code("15", "17")
     pset = PcccPunctureSet(*map(row_from_string, ("10111", "01011", "01000")))
     c2 = pset.constituent2()
-    events = Weight3Events(c, c2.p_u, c2.p_z, 100_000, 512)
-    assert events.lone > 512 and events.count()[0] == 6_152_722
-
-    def refused(self):
-        raise AssertionError("the events were expanded")
-
-    lengths = []
     real = pccc.exact_cwef_dp
+    lengths = []
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the trellis ran")
 
     def recorded(code, p_u, p_z, n, *args, **kwargs):
         lengths.append(n)
         return real(code, p_u, p_z, n, *args, **kwargs)
 
-    monkeypatch.setattr(cwef.Weight3Events, "cwef", refused)
+    monkeypatch.setattr(pccc, "exact_cwef_dp", refused)
+    closed = constituent_cwefs(c, c2.p_u, c2.p_z, 100_000, 3, 512)
     monkeypatch.setattr(pccc, "exact_cwef_dp", recorded)
-    _, truncated = constituent_cwefs(c, c2.p_u, c2.p_z, 100_000, 3, 512)
-    assert truncated and len(lengths) == 1 and lengths[0] < 10_000
+    monkeypatch.setattr(pccc, "event_tables_fit", lambda *args: False)
+    assert constituent_cwefs(c, c2.p_u, c2.p_z, 100_000, 3, 512) == closed
+    assert len(lengths) == 1 and lengths[0] < 10_000
 
 
 def test_refuses_what_it_cannot_count():
