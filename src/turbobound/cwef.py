@@ -151,6 +151,12 @@ def _cwef_w2(code: RscCode, p_u: Row, p_z: Row, n: int,
         for k, (u, z) in enumerate(paths, 1):
             # the starts t = m0 mod M with t + kL < n
             count = -(-(n - k * l_period - m0) // m_period)
+            if step == 0 and count > 0 and z < horizon:
+                # no parity per column cycle: the J terms count, count - lost,
+                # ... all land on (u, z), summed at once
+                j = -(-count // lost)
+                terms[u, z] = terms.get((u, z), 0) + j * count - lost * j * (j - 1) // 2
+                continue
             while count > 0 and z < horizon:
                 terms[u, z] = terms.get((u, z), 0) + count
                 count -= lost

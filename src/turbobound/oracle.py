@@ -19,7 +19,7 @@ from itertools import accumulate, combinations, product
 from math import comb, gcd, lcm
 from operator import xor
 
-from .cwef import Cwef, cwef_w2_punctured, path_weights
+from .cwef import Cwef, cwef_w2_punctured, path_weights, weight2_span_minimum
 from .gf2 import is_primitive
 from .puncture import (Classification, as_row, classify, extend_row,
                        pseudo_random_pattern, row_from_string, row_to_string)
@@ -31,8 +31,8 @@ DP_W_LIMIT = 6
 DP_D_LIMIT = 512
 # without a parity cap the z axis spans the whole block
 DP_UNCAPPED_N_LIMIT = 2048
-# bytes the trellis pass may hold: its two row buffers and the views
-# of its transitions, which grow with the 2^nu states
+# bytes the trellis pass (row buffers, transition views) or the event-span
+# certificate (its arrays) may hold; both grow with the 2^nu states
 DP_MEMORY_LIMIT = 1 << 28
 # one transition's destination and source views plus their tuple
 _DP_VIEW_BYTES = 320
@@ -105,16 +105,12 @@ def _dp_bytes(code: RscCode, w_max: int, d_cap: int, size_u: int) -> int:
                             + 16 * _DP_VIEW_BYTES)
 
 
-def span_step_cost(code: RscCode, w_max: int, d_cap: int, m_period: int) -> float | None:
+def span_step_cost(code: RscCode, w_max: int, d_cap: int, m_period: int) -> float:
     """What a step of event_span_bound costs, in steps of the folded
-    trellis pass with d cap d_cap, or None when the certificate would
-    hold more memory than that pass."""
-    nodes = w_max * code.n_states * m_period
-    if nodes * _SPAN_NODE_BYTES > _dp_bytes(code, w_max, d_cap, 1):
-        return None
+    trellis pass with d cap d_cap."""
     # a step of the folded pass takes two transitions out of every state
     dp_step = 2 * code.n_states * (_DP_TRANSITION_NS + _DP_CELL_NS * (w_max + 1) * (d_cap + 3))
-    return (_SPAN_STEP_NS + _SPAN_NODE_NS * nodes) / dp_step
+    return (_SPAN_STEP_NS + _SPAN_NODE_NS * w_max * code.n_states * m_period) / dp_step
 
 
 def event_tables_fit(code: RscCode, w_max: int, d_cap: int, m_period: int) -> bool:
@@ -239,29 +235,32 @@ def event_span_bound(code: RscCode, p_u, p_z, w_max: int, d_max: int,
                      limit: int) -> int | None:
     """An upper bound S on the span, diverging step to remerging step,
     of every error event of input weight <= w_max whose punctured u + z
-    is at most d_max, from any start column.  None when some zero-input
-    cycle off the zero state transmits nothing, so that no bound need
-    exist, or when S would exceed limit.
+    is at most d_max, from any start column, or None when S would
+    exceed limit or need not exist.
 
     S is the first t at which every t-step path that has stayed off the
     zero state has transmitted more than d_max: an event of span l has
     such a prefix of l - 1 steps, which weighs no more than the event.
     So S is also a length past which a single 1 has pushed a pass over
     d_max.  One min-weight pass over (input weight, state, column) finds
-    it.  The limit is at least 1.
+    it.  It gives up before allocating anything when limit < 1, when its
+    nodes would pass DP_MEMORY_LIMIT, when some zero-input cycle off the
+    zero state transmits nothing, or when a weight-2 event of span
+    kL + 1, kL >= limit, has u + z <= d_max, which makes S > kL.
     """
-    import numpy as np
     p_u, p_z = as_row(p_u), as_row(p_z)
-    if _zero_weight_cycle(code, p_z):
-        return None
     m_period = lcm(len(p_u), len(p_z))
+    size = w_max * code.n_states * m_period
+    if (limit < 1 or size * _SPAN_NODE_BYTES > DP_MEMORY_LIMIT or _zero_weight_cycle(code, p_z)
+            or weight2_span_minimum(code, p_u, p_z, -(-limit // code.period)) <= d_max):
+        return None
+    import numpy as np
     pu = np.array(extend_row(p_u, m_period), dtype=np.int64)
     pz = np.array(extend_row(p_z, m_period), dtype=np.int64)
     n_states = code.n_states
     # node (w, s, c), flat at ((w - 1) n_states + s) M + c: input weight
     # w, state s != 0, next step in column c; a last cell holds d_max + 1
     # and stands in for every predecessor a node lacks
-    size = w_max * n_states * m_period
     over = d_max + 1
     pred = np.full((2, size), size, dtype=np.int64)
     add = np.zeros((2, size), dtype=np.int64)

@@ -18,8 +18,7 @@ from functools import cached_property
 from math import comb, lcm
 from operator import mul
 
-from .cwef import (Cwef, Weight3Events, _cwef_w2, weight2_minima, weight2_span_minimum,
-                   weight2_total)
+from .cwef import Cwef, Weight3Events, _cwef_w2, weight2_minima, weight2_total
 from .oracle import (check_dp_limits, counts_from_cells, event_span_bound, event_tables_fit,
                      exact_cwef_dp, span_step_cost)
 from .puncture import PcccPunctureSet, code_rate
@@ -368,8 +367,8 @@ def constituent_cwefs(code: RscCode, p_u, p_z, n: int, w_max: int,
     """The {d: count} by input weight and the truncated flag of the
     folded exact_cwef_dp(code, p_u, p_z, n, w_max, d_max), from the
     closed forms at w_max = 3 wherever they settle the flag, else from a
-    pass much shorter than n wherever the event span allows one and the
-    certificate that finds the span costs less than it saves.
+    pass much shorter than n wherever event_span_bound, asked once, finds
+    the span within a step budget that keeps both below the pass at n.
 
     The closed forms are cwef_w2_punctured and Weight3Events, exact at
     every n.  The path of a single 1 at step 0 is a prefix of n steps,
@@ -398,16 +397,12 @@ def constituent_cwefs(code: RscCode, p_u, p_z, n: int, w_max: int,
             weight2 = _cwef_w2(code, p_u, p_z, n, d_max + 1)
             return {1: {}, 2: _marginal(weight2, 1, d_max + 1),
                     3: _marginal(weight3.cwef(), 1)}, True
-    # the certificate walks at most limit steps, each worth cost steps of
-    # the trellis pass, and the pass after it takes at most
-    # j limit + (j + 2) M - 1 steps: together fewer than the pass at n
+    # the certificate walks at most limit steps, the last argument, each
+    # worth cost steps of the trellis pass, and the pass after it takes at
+    # most j limit + (j + 2) M - 1 steps: together fewer than the pass at n
     cost = span_step_cost(code, w_max, d_cap, m_period)
-    limit = 0 if cost is None else int((n - (j + 2) * m_period) // (j + cost))
-    # a weight-2 event of span kL + 1 whose u + z is at most d_max makes
-    # S > kL, so when one reaches the limit the walk can only give up
-    span = None
-    if limit > 0 and weight2_span_minimum(code, p_u, p_z, -(-limit // code.period)) > d_max:
-        span = event_span_bound(code, p_u, p_z, w_max, d_max, limit)
+    span = event_span_bound(code, p_u, p_z, w_max, d_max,
+                            int((n - (j + 2) * m_period) // (j + cost)))
     if span is None:
         res = exact_cwef_dp(code, p_u, p_z, n, w_max, d_max, folded=True)
         return res.by_weight, res.truncated

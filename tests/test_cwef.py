@@ -202,6 +202,12 @@ def test_punctured_count_conservation():
     ("15", "5", "110", "0101", 41),    # y_L = 1, mixed periods
     ("17", "15", "0010", "1101", 37),  # non-primitive feedback
     ("7", "5", "110", "011", 29),
+    # a column cycle that sends no parity: each progression from one
+    # start column in three (7/5, 001), two in four (5/7, 1000) or every
+    # one, L = 3 starts lost a cycle (7/5, 0), sums in one closed form
+    ("7", "5", "1", "001", 300),
+    ("5", "7", "1", "1000", 300),
+    ("7", "5", "1", "0", 300),
 ])
 def test_punctured_matches_oracles(fb, ff, p_u, p_z, n):
     code = RscCode.from_octals(fb, ff)
@@ -228,6 +234,8 @@ ROWS = st.integers(1, 8).flatmap(lambda m: st.tuples(*[st.integers(0, 1)] * m))
 # two of its 12 spans while 28 fit in the block, so the paths a cycle
 # on must still weigh h or more
 @example(CODE_15_17, (1, 0, 1), (1, 1, 0, 1), 192, 5)
+# a zero-step progression below and at the horizon
+@example(CODE_7_5, (1,), (0, 0, 1), 200, 2)
 def test_punctured_agrees_with_path_weights(code, pu, pz, extra, horizon):
     # every (k, m) group below the horizon lands on the term its path
     # weights predict, over blocks of up to several column cycles

@@ -7,13 +7,16 @@ falls back to the folded pass at n.  At w_max = 3 the closed forms
 take most constituents, so the tests of the trellis path run at
 w_max = 4.  `event_span_bound` must bound the span of every weight-2
 path the closed form knows, and its zero-weight cycle screen must agree
-with walking every cycle.  A weight-2 path that already outlasts the
-walk's limit within d_max skips the walk, which could only give up.
+with walking every cycle.  It alone decides whether its walk starts: a
+certificate over `DP_MEMORY_LIMIT`, or a weight-2 path that already
+outlasts the walk's limit within d_max, returns before any array is
+built.
 """
 
 from itertools import product
 from math import ceil, lcm
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -77,6 +80,32 @@ def test_bound_path_matches_the_dp_at_n(case, n, w_max, d_max):
     assert_matches_dp(*case, n, w_max, d_max)
 
 
+@st.composite
+def long_row_constituents(draw):
+    """A grid code with a row of period M in [20, 130] and a row whose
+    period divides M, in either order."""
+    code = RscCode.from_octals(*draw(st.sampled_from(GRID_CODES)))
+    m_period = draw(st.integers(20, 130))
+    short = draw(st.sampled_from([d for d in range(1, m_period + 1) if m_period % d == 0]))
+    pair = [tuple(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+            for m in (m_period, short)]
+    return (code, *(pair if draw(st.booleans()) else pair[::-1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_row_constituents(), st.integers(200, 3000), st.integers(3, 4),
+       st.integers(30, 60))
+# M = 130 on 16 states: the certificate holds 466 KB against the folded
+# pass's 163 KB, and finds S = 166
+@example((RscCode.from_octals("23", "35"), (1, 0) * 65, (1, 1, 0, 1, 1)), 3000, 4, 60)
+def test_long_rows_match_the_folded_pass_at_n(case, n, w_max, d_max):
+    by_weight, truncated = constituent_cwefs(*case, n, w_max, d_max)
+    res = exact_cwef_dp(*case, n, w_max, d_max, folded=True)
+    assert truncated == res.truncated
+    for w in range(2, w_max + 1):
+        assert by_weight[w] == res.by_weight[w], w
+
+
 def pass_lengths(monkeypatch):
     lengths = []
 
@@ -115,25 +144,66 @@ def test_unbounded_span_and_short_blocks_take_the_pass_at_n(monkeypatch):
     assert lengths == [2500, 215, first - 1, 215, 215]
 
 
-def test_a_certificate_larger_than_the_pass_is_never_run(monkeypatch):
-    # a degree-12 feedback behind pseudo A has M = 4095: the certificate
-    # would hold about 3.8 GB where the split pass at n holds 212 MiB
+def refused(*args, **kwargs):
+    raise AssertionError("refused call")
+
+
+def span_calls(monkeypatch, walk=True):
+    """Record the (limit, result) of every event_span_bound call that
+    constituent_cwefs makes; with walk False, numpy refuses to build an
+    array during the call, so a certificate that starts its walk fails."""
+    calls = []
+
+    def recorded(*args):
+        with monkeypatch.context() as m:
+            for name in () if walk else ("array", "empty", "full", "zeros"):
+                m.setattr(np, name, refused)
+            calls.append((args[-1], event_span_bound(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(pccc, "event_span_bound", recorded)
+    return calls
+
+
+def test_a_certificate_over_the_memory_limit_is_never_built(monkeypatch):
+    # a degree-12 feedback behind pseudo A has M = 4095: the certificate's
+    # 4 x 4096 x 4095 nodes would hold about 3.8 GB, over DP_MEMORY_LIMIT,
+    # where the split pass at n holds 212 MiB.  At n = 20,000 its step
+    # budget is positive, so the memory limit alone refuses it, before
+    # the zero-weight cycle screen and the weight-2 witness
     code = RscCode.from_octals("10123", "1")
     c = pseudo_random_pattern(code, "A").constituent1()
-    assert span_step_cost(code, 4, 120, 4095) is None
+    assert 4 * code.n_states * 4095 * oracle._SPAN_NODE_BYTES > oracle.DP_MEMORY_LIMIT
+    monkeypatch.setattr(oracle, "_zero_weight_cycle", refused)
+    monkeypatch.setattr(oracle, "weight2_span_minimum", refused)
+    calls = span_calls(monkeypatch, walk=False)
     lengths = []
-
-    def refused(*args, **kwargs):
-        raise AssertionError("the certificate ran")
 
     def recorded(code, p_u, p_z, n, *args, **kwargs):
         lengths.append(n)
         return oracle.DpResult({}, False, 0)
 
-    monkeypatch.setattr(pccc, "event_span_bound", refused)
     monkeypatch.setattr(pccc, "exact_cwef_dp", recorded)
-    constituent_cwefs(code, c.p_u, c.p_z, 12_286, 4, 120)
-    assert lengths == [12_286]
+    constituent_cwefs(code, c.p_u, c.p_z, 20_000, 4, 120)
+    [(limit, result)] = calls
+    assert limit >= 1 and result is None
+    assert lengths == [20_000]
+
+
+def test_a_64_state_certificate_shortens_the_pass(monkeypatch):
+    # 133/171 pseudo A, M = 63: the certificate's 16,128 nodes hold
+    # 882 KiB, more than the folded pass's 635 KiB at d_max 60 but far
+    # below DP_MEMORY_LIMIT, so it walks, finds S = 292, and the pass
+    # stops short of n; counts and flag are those of the pass at n
+    code = RscCode.from_octals("133", "171")
+    c = pseudo_random_pattern(code, "A").constituent1()
+    calls = span_calls(monkeypatch)
+    lengths = pass_lengths(monkeypatch)
+    by_weight, truncated = constituent_cwefs(code, c.p_u, c.p_z, 3000, 4, 60)
+    res = exact_cwef_dp(code, c.p_u, c.p_z, 3000, 4, 60, folded=True)
+    assert [span for _, span in calls] == [292]
+    assert len(lengths) == 1 and lengths[0] <= 2 * 292 + 4 * 63
+    assert (by_weight, truncated) == (res.by_weight, res.truncated)
 
 
 def test_span_bound_stops_at_its_limit():
@@ -207,26 +277,27 @@ def test_span_minimum_is_the_least_path_weight(code, p_u, p_z, k):
 @given(constituents(), st.integers(2, 4), st.integers(8, 60), st.integers(1, 400))
 def test_a_weight2_path_past_the_limit_leaves_the_walk_nothing(case, w_max, d_max,
                                                               limit):
+    # with the witness blinded, the walk itself must give up: skipping
+    # it loses no span the budget could have found
     code, p_u, p_z = case
     k = ceil(limit / code.period)
     if weight2_span_minimum(code, p_u, p_z, k) <= d_max:
-        assert event_span_bound(code, p_u, p_z, w_max, d_max, limit) is None
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(oracle, "weight2_span_minimum", lambda *args: d_max + 1)
+            assert event_span_bound(code, p_u, p_z, w_max, d_max, limit) is None
 
 
 def test_a_weight2_witness_skips_the_walk(monkeypatch):
-    # 23/35 with p_z = 110000 at w_max 4 and d_max 120: a weight-2 path
-    # of span 31 L + 1 = 466 weighs 63, past the walk's limit of 452
-    # steps at n = 1000, so the walk, which would give up there, is not
-    # started
+    # 23/35 with p_z = 110000 at w_max 4 and d_max 120: S = 940, but at
+    # n = 1000 the walk's limit is under 500 steps, and a weight-2 path
+    # of span kL + 1 past it weighs at most d_max, so event_span_bound
+    # gives up before its walk, which would give up there too
     code, p_u, p_z = RscCode.from_octals("23", "35"), (0,) * 6, (1, 1, 0, 0, 0, 0)
     assert span(code, p_u, p_z, 4, 120) == 940
-    assert weight2_span_minimum(code, p_u, p_z, 31) == 63
-    assert event_span_bound(code, p_u, p_z, 4, 120, limit=452) is None
-
-    def refused(*args, **kwargs):
-        raise AssertionError("the certificate ran")
-
+    calls = span_calls(monkeypatch, walk=False)
     lengths = pass_lengths(monkeypatch)
-    monkeypatch.setattr(pccc, "event_span_bound", refused)
     assert_matches_dp(code, p_u, p_z, 1000, 4, 120)
+    [(limit, result)] = calls
+    assert 1 <= limit < 500 and result is None
+    assert weight2_span_minimum(code, p_u, p_z, ceil(limit / code.period)) <= 120
     assert lengths == [1000]
