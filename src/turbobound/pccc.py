@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
-from operator import mul
 
 from .cwef import Cwef, Weight3Events, _cwef_w2, weight2_minima, weight2_total
 from .oracle import (check_dp_limits, counts_from_cells, event_span_bound, event_tables_fit,
@@ -198,29 +197,12 @@ def q_function(x: float) -> float:
 def _scale(rate, ebn0_db: float) -> float:
     """2 R Eb/N0: Q(sqrt(scale * d)) is the pairwise error probability
     of a codeword at distance d."""
-    return 2.0 * float(Fraction(rate)) * 10.0 ** (ebn0_db / 10.0)
-
-
-def _tails(scale: float, distances) -> list[float]:
-    """Q(sqrt(scale * d)) for each d of an ascending sequence, up to the
-    first that is exactly 0.0: Q does not increase with d, so every
-    later one is 0.0 too.  Each is q_function's expression, inline."""
-    sqrt, erfc, inf, root2 = math.sqrt, math.erfc, math.inf, math.sqrt(2.0)
-    out = []
-    for d in distances:
-        x = sqrt(scale * d)
-        if not x < inf:
-            raise ValueError("q_function needs a finite argument")
-        q = 0.5 * erfc(x / root2)
-        if q == 0.0:
-            break
-        out.append(q)
-    return out
+    return 2.0 * float(rate) * 10.0 ** (ebn0_db / 10.0)
 
 
 def _q_at(scale: float, d) -> float:
-    """Q(sqrt(scale * d)) as the union sum computes it."""
-    return sum(_tails(scale, (d,)), 0.0)
+    """Q(sqrt(scale * d)), as the union sum computes it."""
+    return q_function(math.sqrt(scale * d))
 
 
 def _first_below(scale: float, d: int, target: float) -> float:
@@ -261,9 +243,10 @@ def certified_horizon(rate, ebn0_db: float, d_min: int, total: int) -> float:
     Q(sqrt(2 R Eb/N0 h)) is below 2**-62 Q(sqrt(2 R Eb/N0 d_min)) / total,
     where d_min is the spectrum's smallest distance and total its whole
     count.  Past h all total counts together then weigh below a 2**-62
-    share of the term at d_min.  h is only a choice:
-    union_bound_curve proves each clipped sum, and certified_p2 falls
-    back to D*.  D* when that target is 0.0, inf when D* is."""
+    share of the term at d_min.  h only bounds the spectrum built:
+    union_bound_curve stops each point at its own proved distance and
+    proves each clipped sum, and certified_p2 falls back to D*.  D* when
+    that target is 0.0, inf when D* is."""
     scale = _scale(rate, ebn0_db)
     target = 2.0**-62 * _q_at(scale, d_min) / total
     if target == 0.0:
@@ -281,10 +264,15 @@ def union_bound_curve(b: IowefSlice, n: int, rate, ebn0_db, rest: int = 0,
     rest counts more, each at a distance of horizon or more, may be left
     out of b.  Then each sum is returned only when it provably equals
     the sum with them, and None is returned otherwise: together they
-    weigh at most B = (w rest / denom) Q(horizon), so the sum is proved
-    when adding 4 B rounds to the same float (fsum is correctly rounded,
+    weigh at most R = 4 (w rest / denom) Q(horizon), so the sum is proved
+    when adding R rounds to the same float (fsum is correctly rounded,
     hence monotone; the 4 covers the roundings of each coefficient, Q
-    and product)."""
+    and product).  Each point stops at the first Q of exactly 0.0, or at
+    the first d where B = 16 Q(d) fsum(the coefficients from d on) and R
+    added to the terms so far round to their sum: Q falls with d, so B
+    bounds every term left out, subnormal roundings too.  No stop is
+    tried short of a distance that refuses a non-finite argument, so
+    each call raises or returns None just as a walk over every term."""
     rate = Fraction(rate)
     if not 0 < rate < 1:
         raise ValueError(f"rate {rate} outside (0, 1)")
@@ -297,16 +285,35 @@ def union_bound_curve(b: IowefSlice, n: int, rate, ebn0_db, rest: int = 0,
     # int / int is correctly rounded: float(Fraction(b.w * c, denom))
     coefficients = [b.w * c / denom for _, c in items]
     rest_coefficient = b.w * rest / denom
+    top, far, rate = math.fsum(coefficients), max(distances, default=0.0), float(rate)
+    sqrt, erfc, inf, root2 = math.sqrt, math.erfc, math.inf, math.sqrt(2.0)
     sums = []
     for db in ebn0_db:
         scale = _scale(rate, db)
-        # map stops at the shorter list: Q past the first 0.0 adds nothing
-        head = list(map(mul, coefficients, _tails(scale, distances)))
+        tail = [4.0 * rest_coefficient * _q_at(scale, horizon)] if rest else []
+        # a stop short of a distance that refuses would hide the refusal
+        share = 2.0**-58 if scale * far < inf else 0.0
+        head, floor = [], inf
+        for d, coefficient in zip(distances, coefficients):
+            # _q_at, inline: a call per term would cost a quarter of the sum
+            x = sqrt(scale * d)
+            if not x < inf:
+                raise ValueError("q_function needs a finite argument")
+            q = 0.5 * erfc(x / root2)
+            if q == 0.0:
+                break
+            # the first term sets floor; under it, B <= 16 q top may pass
+            if q * top < floor:
+                if not head:
+                    floor = share * coefficient * q
+                else:
+                    bound = 16.0 * math.fsum(coefficients[len(head):]) * q
+                    if math.fsum(head + [bound] + tail) == math.fsum(head):
+                        break
+            head.append(coefficient * q)
         value = math.fsum(head)
-        if rest:
-            head.append(4.0 * rest_coefficient * _q_at(scale, horizon))
-            if math.fsum(head) != value:
-                return None
+        if tail and math.fsum(head + tail) != value:
+            return None
         sums.append(value)
     return tuple(sums)
 

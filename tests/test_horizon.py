@@ -28,6 +28,7 @@ from turbobound.pccc import (IowefSlice, PcccConfig, certified_horizon,
 from turbobound.puncture import PcccPunctureSet, pseudo_random_pattern
 from turbobound.rsc import RscCode
 from test_oracle_differential import codes
+from test_spectrum_arithmetic import walked_union_curve
 
 CODE_23_35 = RscCode.from_octals("23", "35")
 CODE_15_17 = RscCode.from_octals("15", "17")
@@ -40,10 +41,10 @@ def run(capsys, *argv):
 
 
 def unclipped_p2(config, ebn0_db):
-    # the whole n-length spectrum, one union_bound_term per grid point
+    # the whole n-length spectrum, each point walked to its first Q of 0.0
     a1, a2 = (cwef_w2_punctured(*c, config.n) for c in config.constituents())
     b = distance_spectrum(a1, a2)
-    return [union_bound_term(b, config.n, config.rate, db) for db in ebn0_db]
+    return list(walked_union_curve(b, config.n, config.rate, ebn0_db))
 
 
 def q_at(rate, ebn0_db, d):

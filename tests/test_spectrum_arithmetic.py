@@ -2,11 +2,13 @@
 
 The uniform-interleaver combine convolves integer count vectors in one
 big-int product, the distance spectrum sums integer counts, and the
-union sum divides ints and stops at the first Q that is exactly 0.0.
-Every count is over the one denominator C(n, w).  Each is checked here,
-through Fraction(count, C(n, w)), against the plain Fraction arithmetic
-it replaced.  The one-product distance spectrum is checked against the
-combine followed by the spectrum sum.
+union sum divides ints and stops each SNR point at the first distance
+where the rest of the spectrum provably cannot change it.  Every count
+is over the one denominator C(n, w).  Each is checked here, through
+Fraction(count, C(n, w)), against the plain Fraction arithmetic it
+replaced.  The one-product distance spectrum is checked against the
+combine followed by the spectrum sum, and the union sum against a walk
+over every term up to the first Q that is exactly 0.0.
 """
 
 import math
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from turbobound.cwef import Cwef
 from turbobound.pccc import (IowefSlice, combine_uniform_interleaver,
                              distance_spectrum, iowef_slice, q_function,
-                             union_bound_term)
+                             union_bound_curve, union_bound_term)
 
 N = 400
 
@@ -56,6 +58,30 @@ def fraction_union_sum(b, n, rate, ebn0_db):
         float(Fraction(b.w, n) * Fraction(c, comb(n, b.w)))
         * q_function(math.sqrt(scale * d))
         for d, c in sorted(b.coeffs.items()))
+
+
+def walked_union_curve(b, n, rate, ebn0_db, rest=0, horizon=math.inf):
+    """union_bound_curve without its early stop: each point sums every
+    term up to the first Q that is exactly 0.0 in one fsum, and the
+    curve is None where 4 (w rest / denom) Q(horizon) could change a
+    sum."""
+    denom = n * comb(n, b.w)
+    sums = []
+    for db in ebn0_db:
+        scale = 2.0 * float(rate) * 10.0 ** (db / 10.0)
+        terms = []
+        for d, c in sorted(b.coeffs.items()):
+            q = q_function(math.sqrt(scale * float(d)))
+            if q == 0.0:
+                break
+            terms.append(b.w * c / denom * q)
+        value = math.fsum(terms)
+        if rest:
+            bound = 4.0 * (b.w * rest / denom) * q_function(math.sqrt(scale * horizon))
+            if math.fsum(terms + [bound]) != value:
+                return None
+        sums.append(value)
+    return tuple(sums)
 
 
 # counts are positive, as every producer stores them (absent keys are
@@ -160,6 +186,48 @@ def test_union_bound_term_past_underflow():
     got = union_bound_term(b, 1000, Fraction(1, 2), 20.0)
     assert got > 0.0
     assert got == fraction_union_sum(b, 1000, Fraction(1, 2), 20.0)
+
+
+@st.composite
+def union_curves(draw):
+    """A slice, sparse or dense, from distance 0 (catastrophic) on, a
+    grid, and a rest of counts at horizon or past it."""
+    w = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(w, 10**5))
+    keys = st.one_of(st.just(st.integers(0, 3000)),
+                     st.integers(0, 3000).map(lambda lo: st.integers(lo, lo + 80)))
+    coeffs = draw(st.dictionaries(draw(keys), st.integers(1, 2**80), max_size=60))
+    rate = draw(st.sampled_from((Fraction(1, 2), Fraction(2, 3))))
+    grid = sorted(draw(st.lists(st.floats(-8.0, 40.0), min_size=1, max_size=8)))
+    rest = draw(st.one_of(st.just(0), st.integers(1, 2**200)))
+    horizon = draw(st.one_of(st.integers(1, 3000).map(lambda k: max(coeffs, default=0) + k),
+                             st.just(math.inf)))
+    return IowefSlice(w, coeffs), n, rate, grid, rest, horizon
+
+
+@settings(max_examples=400, deadline=None)
+@given(union_curves())
+# the terms at 10 and 11 sum to just under a midpoint between two
+# floats, and the one at 13 carries the sum past it: a stop at 12 that
+# bounds the counts left by the one at 12 alone misses it
+@example((IowefSlice(2, {10: 2**80, 11: 297551700128896136, 12: 1, 13: 2**80}), 1000,
+          Fraction(1, 2), [16.4], 0, math.inf))
+# the same two terms; the rest alone stays under the midpoint, and with
+# the term at 12 passes it: a stop that leaves the rest out of its proof
+# returns the sum where the whole walk's rest check fails
+@example((IowefSlice(2, {10: 2**80, 11: 297551700128896136, 12: 3246857267}), 1000,
+          Fraction(1, 2), [16.4], 81412651430934894538, 13))
+# Q at 10**308 refuses: stopping at 100 would hide the refusal
+@example((IowefSlice(2, {1: 1, 100: 1, 10**308: 1}), 1000, Fraction(1, 2), [6.0], 0,
+          math.inf))
+def test_union_bound_curve_equals_the_whole_walk(case):
+    try:
+        want = walked_union_curve(*case)
+    except ValueError:
+        with pytest.raises(ValueError, match="finite"):
+            union_bound_curve(*case)
+        return
+    assert union_bound_curve(*case) == want
 
 
 def test_q_function_reaches_zero_monotonically():
