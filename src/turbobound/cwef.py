@@ -272,16 +272,27 @@ def weight2_table(code: RscCode, m_period: int, n: int) -> Weight2Table:
                         tuple(u_cols), tuple(z_cols))
 
 
-# Weight3Events expands about _W3_CHUNK progressions at once, from pairs
-# (c0, a) built in blocks of _W3_PAIRS: together they bound the arrays
-# it holds
+# Weight3Events builds about _W3_CHUNK families at once, which bounds its arrays
 _W3_CHUNK = 1 << 12
-_W3_PAIRS = 1 << 14
+
+
+def _restored(size: int, at, stride: int, steps, values, runs):
+    """A table of size int64 cells 4 z + u: values added at at + 4 stride
+    step, then summed forward along each stride of runs in z in turn.
+    The sums run forward, so the last cell takes what lands past it."""
+    import numpy as np
+    table = np.zeros(size, dtype=np.int64)
+    np.add.at(table, np.minimum(np.concatenate([at + 4 * stride * t for t in steps]), size - 1),
+              np.concatenate(values))
+    for w in runs:
+        view = table[:size // (4 * w) * 4 * w].reshape(-1, 4 * w)
+        np.cumsum(view, axis=0, out=view)
+    return table
 
 
 class Weight3Events:
     """The weight-3 events of an n-step block whose u + z is at most
-    d_max, tallied by arithmetic progression.
+    d_max, tallied by family.
 
     Write the input as 1s at t, t + a and t + b, 0 < a < b, with start
     column c0 = t mod M, and call the state q steps after a single 1
@@ -297,12 +308,13 @@ class Weight3Events:
     cycle's weight plus a difference of the cycle's prefix sums.  An
     event (c0, a, b) has (n - 1 - b - c0) div M + 1 starts that fit.
 
-    A walk never weighs less for being longer, so the events of each
-    (c0, a) within d_max are the first of its family, found by one
-    search in the prefix sums; `lone` is the u + z of a single 1 at step
-    0 walked to step n - 1.  Events i and i + P/L of a family end in the
-    same column, one cycle weight W and P/M starts apart, so cwef()
-    tallies at most P/L progressions per family, from their heads."""
+    Moving a or b - a by P changes no column or phase: the event weighs
+    the cycle weight W1 or W2 of its first or second walk more and has
+    P/M fewer starts.  So the events fall into families, one per c0,
+    a <= P and b - a - 1 < P, at most M P (P/L) of them whatever n and
+    d_max: each a triangle of events i P and m P further apart, whose
+    u + z grows with i and m.  `lone` is the u + z of a single 1 at
+    step 0 walked to step n - 1."""
 
     def __init__(self, code: RscCode, p_u: Row, p_z: Row, n: int, d_max: int):
         if n < 1 or d_max < 0:
@@ -327,8 +339,7 @@ class Weight3Events:
         self._parity = np.array([p for _, _, p in second])
         self._diverge, self._remerge = code.impulse_parity[0], second[-1][2]
         # one row of prefix sums per cycle of (phase, column) pairs, over
-        # two turns of it, each row offset past the last so that the
-        # flat sums ascend; _at is where pair q M + c sits in them
+        # two turns of it; _at is where pair q M + c sits in them
         self._cycle = cycle = lcm(l_period, m_period)
         k = np.arange(l_period * m_period // cycle)[:, None]
         s = np.arange(2 * cycle)
@@ -336,24 +347,13 @@ class Weight3Events:
         prefix = np.zeros((k.size, 2 * cycle + 1), dtype=np.int64)
         np.cumsum(bits, axis=1, out=prefix[:, 1:])
         whole = prefix[:, cycle].copy()
-        prefix += k * (2 * int(whole.max()) + 1)
         self._prefix = prefix.ravel()
         s = s[:cycle]
         self._at = np.empty(l_period * m_period, dtype=np.int64)
         self._at[s % l_period * m_period + (k + s) % m_period] = k * (2 * cycle + 1) + s
         self._whole = whole[self._at // (2 * cycle + 1)]
-        # a first 1 in column c0 leaves room for a <= _last[c0]
-        c0 = np.arange(m_period)
-        reach = self._reach((c0 + 1) % m_period, d_max - pu - self._diverge * pz)
-        self._last = np.maximum(np.minimum(reach + 1, n - 2 - c0), 0)
-        self._ends = np.cumsum(self._last)
         self.lone = int(pu[0] + self._diverge * pz[0]
                         + self._walk(np.array([1 % m_period]), np.array([n - 1]))[0])
-        # the third 1 in column c adds third_d[c] to u + z and third_key[c]
-        # to the tally index u (d_max + 1) + z
-        third = self._remerge * pz
-        self._third_d, self._third_key = pu + third, pu * (d_max + 1) + third
-        self._pairs = int(self._ends[-1])
 
     def _walk(self, qc, length):
         """The parity sent by a zero-input walk of each length from each
@@ -362,111 +362,105 @@ class Weight3Events:
         whole, part = divmod(length, self._cycle)
         return whole * self._whole[qc] + self._prefix[at + part] - self._prefix[at]
 
-    def _reach(self, qc, budget):
-        """The longest walk from each pair index qc that sends at most
-        budget: -1 where budget < 0, and n on a cycle that sends nothing."""
+    def _families(self):
+        """The families that some event fits, about _W3_CHUNK at a time,
+        as arrays: x, the tally cell 4 z + u of the lightest event; s, its
+        starts; k, the most steps i + m that leave a start; low and gap,
+        the lesser cycle weight of its two walks and how far the other's
+        exceeds it.  A pair (c0, a) whose first two 1s pass d_max has none."""
         import numpy as np
-        at, per_cycle = self._at[qc], self._whole[qc]
-        cycles = budget // np.maximum(per_cycle, 1)
-        rest = budget - cycles * per_cycle
-        part = np.searchsorted(self._prefix, self._prefix[at] + rest, "right") - 1 - at
-        longest = np.where(per_cycle > 0, cycles * self._cycle + part, self._n)
-        return np.where(budget < 0, -1, longest)
-
-    def _blocks(self):
-        """The pairs (c0, a) that some event fits, from blocks of at most
-        _W3_PAIRS pairs, as arrays: count, the third 1s that the walks
-        leave within d_max and the block within n; first, the shortest
-        walk after the second 1; at and per_cycle, where that walk's
-        cycle sits in the prefix sums and what it sends per turn; key
-        and d, the tally index and u + z of the two 1s less the prefix
-        sum at the walk's start; col, where a walk of length 0 would
-        put the third 1; and rest, n - 2 - a - c0 + M, so that an event
-        whose walk has length l has (rest - l) div M starts."""
-        import numpy as np
-        n, d_max = self._n, self._d_max
-        l_period, m_period, pu, pz = self._l, self._m, self._pu, self._pz
-        for lo in range(0, self._pairs, _W3_PAIRS):
-            p = np.arange(lo, min(lo + _W3_PAIRS, self._pairs))
-            c0 = np.searchsorted(self._ends, p, "right")
-            a = p - (self._ends[c0] - self._last[c0]) + 1
+        n, d_max, l_period, m_period, cycle = self._n, self._d_max, self._l, self._m, self._cycle
+        pu, pz, prefix = self._pu, self._pz, self._prefix
+        # b - a - 1 = L - 1 - r + h L and a are at least h L and 1, and
+        # a + 1 + (b - a - 1) is at most n - 1
+        last = max(min(cycle, n - 2), 0)
+        heads = min(cycle // l_period, max((n - 3) // l_period + 1, 0))
+        step = max(_W3_CHUNK // max(heads, 1), 1)
+        for lo in range(0, m_period * last, _W3_CHUNK):
+            c0, a = np.divmod(np.arange(lo, min(lo + _W3_CHUNK, m_period * last)), last)
+            a += 1
             q = (a - 1) % l_period
-            r = self._phase[q]
-            ca = (c0 + a) % m_period
+            r, ca, first = self._phase[q], (c0 + a) % m_period, (c0 + 1) % m_period
             u = pu[c0] + pu[ca]
-            z = (self._diverge * pz[c0] + self._walk((c0 + 1) % m_period, a - 1)
-                 + self._parity[q] * pz[ca])
-            qc = np.maximum(r, 0) * m_period + (ca + 1) % m_period
-            first = l_period - 1 - r
-            longest = np.minimum(self._reach(qc, d_max - u - z), n - 2 - c0 - a)
-            fits = (r >= 0) & (longest >= first)
-            c0, a, u, z, qc, first = (x[fits] for x in (c0, a, u, z, qc, first))
-            at = self._at[qc]
-            z -= self._prefix[at]
-            col = c0 + a + 1
-            yield ((longest[fits] - first) // l_period + 1, first, at, self._whole[qc],
-                   u * (d_max + 1) + z, u + z, col, n - 1 - col + m_period)
+            z = self._diverge * pz[c0] + self._walk(first, a - 1) + self._parity[q] * pz[ca]
+            fits = (r >= 0) & (u + z <= d_max)
+            r, ca, u, z, first = (v[fits] for v in (r, ca, u, z, first))
+            # the walk after the second 1, of L - 1 - r + h L < P steps,
+            # starts at pair `then`, which sits at `at` in the prefix sums;
+            # an event whose walk has length l has (rest - l) div M starts
+            then = r * m_period + (ca + 1) % m_period
+            at = self._at[then]
+            z -= prefix[at]
+            rest = n - 2 + m_period - c0[fits] - a[fits]
+            w1, w2 = self._whole[first], self._whole[then]
+            low, gap = np.minimum(w1, w2), abs(w1 - w2)
+            for p in range(0, r.size, step):
+                i = np.repeat(np.arange(p, min(p + step, r.size)), heads)
+                length = l_period - 1 - r[i] + np.arange(i.size) % heads * l_period
+                col = (ca[i] + 1 + length) % m_period
+                uf = u[i] + pu[col]
+                zf = z[i] + prefix[at[i] + length] + self._remerge * pz[col]
+                s = (rest[i] - length) // m_period
+                fits = (s > 0) & (uf + zf <= d_max)
+                i, s = i[fits], s[fits]
+                yield 4 * zf[fits] + uf[fits], s, (s - 1) // (cycle // m_period), low[i], gap[i]
 
     def cwef(self) -> Cwef:
         """The weight-3 enumerator {(u, z): count} over u + z <= d_max.
 
-        A progression of J terms from tally cell x with s starts has, for
-        W > 0, second differences s at x, -P/M - s at x + W, J P/M - s at
-        x + J W and s - (J - 1) P/M at x + (J + 1) W along stride W, which
-        two sums restore; for W = 0 its terms all land on x.  int64 sums
-        may wrap between, but each final count is below C(n, 3) < 2^63."""
+        A family with s starts at its lightest event, tally cell x, lost
+        = P/M and k as _families gives is the triangle i, m >= 0, i + m
+        <= k, whose event (i, m) has s - (i + m) lost starts at x + i W1
+        + m W2.  Take W1 <= W2, gap D = W2 - W1 and P_W(y) = sum over
+        t <= k of (s - t lost) X^(y + t W).  Summed along its
+        anti-diagonals t = i + m, the triangle times 1 - X^D is P_W1(x) -
+        P_W2(x + D); P_W has four second differences along stride W, and
+        P_0 is one cell.  Where D = 0 the family is (t + 1)(s - t lost)
+        at x + t W1, whose third differences along W1 sit at t = 0, 1 and
+        k + 1 to k + 3, and where W1 = W2 = 0 one cell.  Each class (W1,
+        D) of a chunk is restored in tables of twice the tally's width,
+        whose far half only takes what the forward sums carry past d_max.
+        int64 sums may wrap between, but each final count is below C(n,
+        3) < 2^63."""
         import numpy as np
-        d_max, l_period, m_period, cycle = self._d_max, self._l, self._m, self._cycle
+        d_max, lost = self._d_max, self._cycle // self._m
         size = 4 * (d_max + 1)
         tally = np.zeros(size, dtype=np.int64)
-        # a progression's terms are stride events apart, each with lost
-        # fewer starts than the last
-        stride, lost = cycle // l_period, cycle // m_period
-        # a table per positive W, back to back, each 2 W cells past the
-        # tally; a set, as np.unique imports numpy.ma
-        widths = np.array(sorted({*self._whole.tolist()} - {0}), dtype=np.int64)
-        lengths = -(-(size + 2 * widths) // widths) * widths
-        bases = np.cumsum(lengths) - lengths
-        diffs = np.zeros(int(lengths.sum()), dtype=np.int64)
-        for count, first, at, per_cycle, key, d, col, rest in self._blocks():
-            if not count.size:
-                continue
-            heads = np.minimum(count, stride)
-            ends = np.cumsum(heads)
-            begins = ends - heads
-            # chunks of whole pairs, one starting at each _W3_CHUNK-th head
-            cuts = np.searchsorted(ends, np.arange(0, ends[-1], _W3_CHUNK), "right")
-            cuts = [*dict.fromkeys(cuts.tolist()), ends.size]
-            for lo, hi in zip(cuts, cuts[1:]):
-                rep = np.repeat(np.arange(lo, hi), heads[lo:hi])
-                # head h of its pair walks first + h L steps after the
-                # second 1, and its progression spans the events left
-                h = np.arange(begins[lo], ends[hi - 1]) - begins[rep]
-                terms = (count[rep] - h - 1) // stride + 1
-                length = first[rep] + h * l_period
-                w = per_cycle[rep]
-                walk = length // cycle * w + self._prefix[at[rep] + length % cycle]
-                third = (col[rep] + length) % m_period
-                room = d_max - d[rep] - walk - self._third_d[third]
-                x = key[rep] + walk + self._third_key[third]
-                s = (rest[rep] - length) // m_period
-                flat = (room >= 0) & (w == 0)
-                j = terms[flat]
-                np.add.at(tally, x[flat], j * s[flat] - lost * j * (j - 1) // 2)
-                sloped = (room >= 0) & (w > 0)
-                w, s, x = w[sloped], s[sloped], x[sloped]
-                j = np.minimum(terms[sloped], room[sloped] // w + 1)
-                x += bases[np.searchsorted(widths, w)]
-                np.add.at(diffs, np.concatenate((x, x + w, x + j * w, x + (j + 1) * w)),
-                          np.concatenate((s, -lost - s, j * lost - s, s - (j - 1) * lost)))
-        for width, base, length in zip(widths.tolist(), bases.tolist(), lengths.tolist()):
-            table = diffs[base:base + length].reshape(-1, width)
-            np.cumsum(table, axis=0, out=table)
-            np.cumsum(table, axis=0, out=table)
-            tally += table.ravel()[:size]
-        u, z = np.divmod(np.flatnonzero(tally), d_max + 1)
-        return Cwef(3, self._n, dict(zip(zip(u.tolist(), z.tolist()),
-                                         tally[tally > 0].tolist())))
+
+        def progression(x, stride, s, k, gap):
+            # P_stride(x), restored and summed along gap
+            return _restored(2 * size, x, stride, (0, 1, k + 1, k + 2), (s, -lost - s,
+                             (k + 1) * lost - s, s - k * lost), (stride, stride, gap))
+
+        for x, s, k, low, gap in self._families():
+            while low.size:
+                w, d = int(low[0]), int(gap[0])
+                cls = (low == w) & (gap == d)
+                at, c, j = x[cls], s[cls], k[cls]
+                x, s, k, low, gap = (v[~cls] for v in (x, s, k, low, gap))
+                if w == d == 0:
+                    np.add.at(tally, at, (j + 1) * c + (c - lost) * (j * (j + 1) // 2)
+                              - lost * (j * (j + 1) * (2 * j + 1) // 6))
+                    continue
+                if d == 0:
+                    # its terms at t = k + 1 and k + 2, were it not cut
+                    end, past = (j + 2) * (c - (j + 1) * lost), (j + 3) * (c - (j + 2) * lost)
+                    table = _restored(2 * size, at, w, (0, 1, j + 1, j + 2, j + 3),
+                                      (c, -c - 2 * lost, -end, 3 * end - past,
+                                       2 * lost - 2 * end + past), (w, w, w))
+                elif w:
+                    table = progression(at, w, c, j, d)
+                else:
+                    table = _restored(2 * size, at, 0, (0,),
+                                      ((j + 1) * c - lost * (j * (j + 1) // 2),), (d,))
+                if d:
+                    table -= progression(at + 4 * d, w + d, c, j, d)
+                tally += table[:size]
+        counts = tally.reshape(d_max + 1, 4).T
+        u, z = np.nonzero(counts)
+        fits = u + z <= d_max
+        return Cwef(3, self._n, dict(zip(zip(u[fits].tolist(), z[fits].tolist()),
+                                         counts[u[fits], z[fits]].tolist())))
 
 
 def cwef_w3_punctured(code: RscCode, p_u, p_z, n: int, d_max: int) -> Cwef:

@@ -48,7 +48,8 @@ _SPAN_STEP_NS, _SPAN_NODE_NS = 5500, 4.7
 # cwef.Weight3Events's bytes per (orbit phase, column) pair at its peak:
 # int64 prefix sums and parity bits over two turns of each cycle, their
 # index temporaries, and where each pair sits and what its cycle weighs;
-# the tally's difference tables, at most 24, come after the temporaries
+# the tally's tables, two of 8 (d_max + 1) cells at a time, and a chunk
+# of families come after the temporaries
 _W3_PAIR_BYTES = 64
 
 

@@ -11,7 +11,9 @@ is divided by C(n, w) only where it meets the Gaussian tail factor.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -99,6 +101,14 @@ def _pack(counts: dict[int, int], low: int, high: int, width: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+def _pack_q(counts: dict[int, int], low: int, high: int) -> int:
+    """_pack with 8-byte slots in native order, through an array("Q")."""
+    slots = array("Q", bytes(8 * (high - low + 1)))
+    for z, c in counts.items():
+        slots[z - low] = c
+    return int.from_bytes(slots, sys.byteorder)
+
+
 def _convolve(x: dict[int, int], y: dict[int, int]):
     """Exact convolution of two sparse non-negative count vectors as one
     big-int product; yields its nonzero (index, count) pairs in order,
@@ -108,13 +118,18 @@ def _convolve(x: dict[int, int], y: dict[int, int]):
     # a product slot sums at most min(|x|, |y|) products of two counts,
     # so it stays below 256**width and never carries into the next slot
     largest = max(x.values()) * max(y.values()) * min(len(x), len(y))
-    width = largest.bit_length() // 8 + 1
     x_low, x_high, y_low, y_high = min(x), max(x), min(y), max(y)
     slots = x_high - x_low + y_high - y_low + 1
-    product = _pack(x, x_low, x_high, width) * _pack(y, y_low, y_high, width)
-    raw = memoryview(product.to_bytes(slots * width, "little"))
-    for i in range(slots):
-        c = int.from_bytes(raw[i * width:(i + 1) * width], "little")
+    if largest < 1 << 64:
+        counts = array("Q")
+        counts.frombytes((_pack_q(x, x_low, x_high) * _pack_q(y, y_low, y_high))
+                         .to_bytes(8 * slots, sys.byteorder))
+    else:
+        width = largest.bit_length() // 8 + 1
+        product = _pack(x, x_low, x_high, width) * _pack(y, y_low, y_high, width)
+        raw = memoryview(product.to_bytes(slots * width, "little"))
+        counts = (int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(slots))
+    for i, c in enumerate(counts):
         if c:
             yield x_low + y_low + i, c
 

@@ -10,11 +10,12 @@ cwef_w3_punctured is the third side: uncapped it must equal brute
 force, and at each cap of CAPS its u + z marginal must equal the folded
 pass at that cap.  The grid's largest block, n = 200, has
 C(200, 3) = 1,313,400 such inputs, encoded in numpy blocks, so the full
-grid takes seconds.  The closed form tallies its events by arithmetic
-progression, and at n = 200 a pair (c0, a) seldom holds a second one,
-so a sweep then checks it against the folded pass at each n of LARGE_N
-and d_max LARGE_CAP for every (code, pattern) of the grid.  The file
-name does not match test_*.py, so pytest does not collect it.
+grid takes seconds.  The closed form tallies its events by family, a
+triangle of events whose two gaps grow by lcm(L, M), and at n = 200 a
+family seldom holds a second event, so a sweep then checks it against
+the folded pass at each n of LARGE_N and d_max LARGE_CAP for every
+(code, pattern) of the grid.  The file name does not match test_*.py,
+so pytest does not collect it.
 
     PYTHONPATH=src python tests/exhaustive_w3.py
 

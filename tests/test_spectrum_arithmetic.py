@@ -114,6 +114,9 @@ def cwef_pairs(draw):
 # 300 overlapping products of the largest count fill a slot past 2**136
 @example((Cwef(2, N, {(2, z): 2**64 - 1 for z in range(300)}),
           Cwef(2, N, {(0, z): 2**64 - 1 for z in range(300)})))
+# one product on each side of the largest count an 8-byte slot holds
+@example((Cwef(3, N, {(1, 4): 2**32 + 1}), Cwef(3, N, {(0, 6): 2**32 - 1})))
+@example((Cwef(3, N, {(1, 4): 2**32}), Cwef(3, N, {(0, 6): 2**32})))
 def test_combine_matches_nested_loop(pair):
     a1, a2 = pair
     got = combine_uniform_interleaver(a1, a2, N, a1.w)
@@ -136,6 +139,8 @@ def test_combine_matches_nested_loop(pair):
 # 300 overlapping products of the largest count fill a slot past 2**136
 @example((Cwef(2, N, {(2, z): 2**64 - 1 for z in range(300)}),
           Cwef(2, N, {(0, z): 2**64 - 1 for z in range(300)})))
+@example((Cwef(3, N, {(1, 4): 2**32 + 1}), Cwef(3, N, {(0, 6): 2**32 - 1})))
+@example((Cwef(3, N, {(1, 4): 2**32}), Cwef(3, N, {(0, 6): 2**32})))
 def test_distance_spectrum_matches_combine_then_slice(pair):
     a1, a2 = pair
     got = distance_spectrum(a1, a2)

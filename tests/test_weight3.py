@@ -7,9 +7,9 @@ order with weight-3 events (25 of order 6, 43 of order 21) and ones
 with none (5, 17 and 37).  When a single 1 at step 0 weighs more
 than d_max by step n - 1, the trellis flag is True, which is what lets
 constituent_cwefs skip the trellis; at w_max = 3 it then runs no pass
-unless the walk tables would outgrow it.  Events are tallied by
-arithmetic progression, so a differential test draws n large enough
-that one (c0, a) holds several.
+unless the walk tables would outgrow it.  Events are tallied by family,
+a triangle of events whose two gaps each grow by lcm(L, M), so a
+differential test draws n large enough that a family holds many.
 """
 
 from math import comb
@@ -22,13 +22,16 @@ import turbobound.pccc as pccc
 from turbobound.cwef import Weight3Events, cwef_w3_punctured
 from turbobound.oracle import brute_force_cwef, exact_cwef_dp
 from turbobound.pccc import constituent_cwefs
-from turbobound.puncture import PcccPunctureSet, row_from_string
+from turbobound.puncture import PcccPunctureSet, pseudo_random_pattern, row_from_string
 from turbobound.rsc import RscCode
 from test_oracle_differential import codes, distance_counts, rows
 
 
 def code(gr, gf):
     return RscCode.from_octals(gr, gf)
+
+
+PSEUDO_A1 = pseudo_random_pattern(code("23", "35"), "A").constituent1()
 
 
 @settings(max_examples=300, deadline=None)
@@ -39,6 +42,11 @@ def code(gr, gf):
 @example(code("5", "7"), (1,), (1,), 50, 30)
 @example(code("17", "15"), (1, 1), (0, 1), 70, 60)
 @example(code("15", "17"), (0,), (1, 0, 0, 0, 0, 0), 90, 12)
+# first gaps pass P = lcm(L, M): 3 with cycle weights 1 and 2, then 0
+# and 1; 15 with families whose two walks both send nothing
+@example(code("7", "5"), (1,), (0, 1, 1), 60, 60)
+@example(code("7", "5"), (1,), (0, 0, 1), 60, 60)
+@example(code("23", "35"), (1,), (0, 0, 0, 0, 1), 60, 60)
 def test_closed_form_equals_the_trellis_and_brute_force(c, p_u, p_z, n, d_max):
     closed = cwef_w3_punctured(c, p_u, p_z, n, d_max)
     res = exact_cwef_dp(c, p_u, p_z, n, 3, d_max)
@@ -84,11 +92,14 @@ def test_exact_at_every_n_with_no_pass():
 @settings(max_examples=80, deadline=None)
 @given(codes(nu_max=4), rows(6), rows(6), st.integers(500, 3000), st.integers(1, 250))
 @example(code("7", "5"), (1,), (0, 0, 1), 3000, 60)
+@example(code("7", "5"), (1,), (0, 1, 1), 3000, 60)
+# 23/35 pseudo A constituent 1: L = M = 15 and cycle weights 4 and 8
+@example(code("23", "35"), PSEUDO_A1.p_u, PSEUDO_A1.p_z, 2500, 120)
 def test_progressions_that_repeat_match_the_folded_pass(c, p_u, p_z, n, d_max):
-    # n is large enough that a pair (c0, a) holds several progressions,
-    # each of several events.  In the example (228,697 events (c0, a, b))
-    # the orbit cycle after the second 1 sends no parity, so each
-    # progression piles up on one cell
+    # n is large enough that both gaps of an event pass P = lcm(L, M)
+    # many times, so each family is a triangle of many events.  In the
+    # first example (228,697 events (c0, a, b)) the orbit cycles send 0
+    # or 1 parity bit, so a family's events pile up on few cells
     closed = cwef_w3_punctured(c, p_u, p_z, n, d_max)
     res = exact_cwef_dp(c, p_u, p_z, n, 3, d_max, folded=True)
     assert distance_counts(closed) == res.for_weight(3)
@@ -96,9 +107,9 @@ def test_progressions_that_repeat_match_the_folded_pass(c, p_u, p_z, n, d_max):
 
 def test_a_long_event_list_takes_the_closed_form(monkeypatch):
     # 15/17 with par2 01000 at d_max 512: constituent 2 has about 6.2
-    # million weight-3 events, one progression per (c0, a) as
-    # lcm(L, M) = L, and runs no pass; its counts are those of the
-    # certificate and the short pass, run when the tables may not fit
+    # million weight-3 events (c0, a, b) in 750 families, and runs no
+    # pass; its counts are those of the certificate and the short pass,
+    # run when the tables may not fit
     c = code("15", "17")
     pset = PcccPunctureSet(*map(row_from_string, ("10111", "01011", "01000")))
     c2 = pset.constituent2()
