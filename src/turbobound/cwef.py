@@ -7,9 +7,9 @@ m.  One walk, _span_cycle, gives every such path's (u, z): from each
 start column it adds one period's core weight and join bit per span,
 over at most one column cycle of lcm(L, M) / L periods.  A path a
 cycle longer ends in the same column, with its parity grown by a fixed
-step, so the enumerator, the span minimum and the packed screening
-table all read that walk, and no trellis is touched.  path_weights is
-the independent reference, one path at a time.
+step, so the enumerator, its groups by column, the span minimum and
+the packed screening table all read that walk, and no trellis is
+touched.  path_weights is the independent reference, one path at a time.
 
 A terminated weight-3 input is one error event too, since no event has
 input weight 1.  Between its 1s the state walks the zero-input orbit of
@@ -162,6 +162,34 @@ def _cwef_w2(code: RscCode, p_u: Row, p_z: Row, n: int,
                 count -= lost
                 z += step
     return Cwef(2, n, terms)
+
+
+def weight2_groups(code: RscCode, p_z: Row, m_period: int, n: int,
+                   horizon: float = math.inf) -> dict[tuple[int, int], dict[int, int]]:
+    """The paths of _cwef_w2(code, p_u, p_z, n, horizon), for any p_u of
+    period m_period, by z alone in one group per start and remerge column
+    (m0, c): their u is p_u[m0] + p_u[c].  One walk of p_z with no
+    systematic bit, expanded by _cwef_w2's rules into at most M^2 groups,
+    which long rows cannot afford."""
+    l_period = code.period
+    lost = lcm(l_period, m_period) // m_period
+    groups: dict[tuple[int, int], dict[int, int]] = {}
+    walks = _span_cycle(code, (0,) * m_period, p_z, (n - 1) // l_period, horizon)
+    for m0, (paths, step) in enumerate(walks):
+        for k, (_, z) in enumerate(paths, 1):
+            count = -(-(n - k * l_period - m0) // m_period)
+            if count <= 0 or z >= horizon:
+                continue
+            slots = groups.setdefault((m0, (m0 + k * l_period) % m_period), {})
+            if step == 0:
+                j = -(-count // lost)
+                slots[z] = slots.get(z, 0) + j * count - lost * j * (j - 1) // 2
+                continue
+            while count > 0 and z < horizon:
+                slots[z] = slots.get(z, 0) + count
+                count -= lost
+                z += step
+    return groups
 
 
 def weight2_total(code: RscCode, n: int) -> int:

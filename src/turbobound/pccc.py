@@ -17,6 +17,7 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import comb, lcm
 
 from .cwef import Cwef, Weight3Events, _cwef_w2, weight2_minima, weight2_total
@@ -91,9 +92,27 @@ class BoundCurve:
         return "\n".join(lines) + "\n"
 
 
+# the array type of each slot width up to 8 bytes
+_SLOT_TYPES = {array(t).itemsize: t for t in "BHIQ"}
+
+
+def _slot_width(largest: int) -> int:
+    """Bytes per slot of a packed product none of whose slots passes
+    largest: the narrowest array type's, or wide byte slots past 64 bits."""
+    return next((width for width in sorted(_SLOT_TYPES) if largest < 1 << 8 * width),
+                largest.bit_length() // 8 + 1)
+
+
 def _pack(counts: dict[int, int], low: int, high: int, width: int) -> int:
     """Kronecker substitution: one int whose little-endian slot i, width
     bytes wide, holds counts[low + i] (absent keys are zero slots)."""
+    if width in _SLOT_TYPES:
+        slots = array(_SLOT_TYPES[width], bytes(width * (high - low + 1)))
+        for z, c in counts.items():
+            slots[z - low] = c
+        if sys.byteorder == "big":
+            slots.byteswap()
+        return int.from_bytes(slots, "little")
     buf = bytearray(width * (high - low + 1))
     for z, c in counts.items():
         at = (z - low) * width
@@ -101,12 +120,18 @@ def _pack(counts: dict[int, int], low: int, high: int, width: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _pack_q(counts: dict[int, int], low: int, high: int) -> int:
-    """_pack with 8-byte slots in native order, through an array("Q")."""
-    slots = array("Q", bytes(8 * (high - low + 1)))
-    for z, c in counts.items():
-        slots[z - low] = c
-    return int.from_bytes(slots, sys.byteorder)
+def _unpack(packed: int, slots: float, width: int):
+    """The nonzero (i, count), i < slots, of a _pack int of slot width, or
+    of a product of two, in order."""
+    slots = min(slots, packed.bit_length() // (8 * width) + 1)
+    raw = (packed & ((1 << 8 * width * slots) - 1)).to_bytes(width * slots, "little")
+    if width in _SLOT_TYPES:
+        counts = array(_SLOT_TYPES[width], raw)
+        if sys.byteorder == "big":
+            counts.byteswap()
+    else:
+        counts = [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(slots)]
+    return compress(enumerate(counts), counts)
 
 
 def _convolve(x: dict[int, int], y: dict[int, int]):
@@ -117,21 +142,11 @@ def _convolve(x: dict[int, int], y: dict[int, int]):
         return
     # a product slot sums at most min(|x|, |y|) products of two counts,
     # so it stays below 256**width and never carries into the next slot
-    largest = max(x.values()) * max(y.values()) * min(len(x), len(y))
+    width = _slot_width(max(x.values()) * max(y.values()) * min(len(x), len(y)))
     x_low, x_high, y_low, y_high = min(x), max(x), min(y), max(y)
-    slots = x_high - x_low + y_high - y_low + 1
-    if largest < 1 << 64:
-        counts = array("Q")
-        counts.frombytes((_pack_q(x, x_low, x_high) * _pack_q(y, y_low, y_high))
-                         .to_bytes(8 * slots, sys.byteorder))
-    else:
-        width = largest.bit_length() // 8 + 1
-        product = _pack(x, x_low, x_high, width) * _pack(y, y_low, y_high, width)
-        raw = memoryview(product.to_bytes(slots * width, "little"))
-        counts = (int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(slots))
-    for i, c in enumerate(counts):
-        if c:
-            yield x_low + y_low + i, c
+    for i, c in _unpack(_pack(x, x_low, x_high, width) * _pack(y, y_low, y_high, width),
+                        x_high - x_low + y_high - y_low + 1, width):
+        yield x_low + y_low + i, c
 
 
 def _check_pair(a1: Cwef, a2: Cwef, n: int, w: int) -> None:
@@ -270,7 +285,8 @@ def certified_horizon(rate, ebn0_db: float, d_min: int, total: int) -> float:
 
 
 def union_bound_curve(b: IowefSlice, n: int, rate, ebn0_db, rest: int = 0,
-                      horizon: float = math.inf) -> tuple[float, ...] | None:
+                      horizon: float = math.inf,
+                      q_tables: dict | None = None) -> tuple[float, ...] | None:
     """Contribution P(w) of one input weight to the union bound at each
     Eb/N0 of a grid: the sum over d of
     (w / n) * (count_d / C(n, w)) * Q(sqrt(2 R Eb/N0 d)).  Each
@@ -287,7 +303,9 @@ def union_bound_curve(b: IowefSlice, n: int, rate, ebn0_db, rest: int = 0,
     added to the terms so far round to their sum: Q falls with d, so B
     bounds every term left out, subnormal roundings too.  No stop is
     tried short of a distance that refuses a non-finite argument, so
-    each call raises or returns None just as a walk over every term."""
+    each call raises or returns None just as a walk over every term.
+    q_tables, a dict kept across calls, holds each Q computed by 2 R Eb/N0
+    and distance, so that calls at the same points share every Q."""
     rate = Fraction(rate)
     if not 0 < rate < 1:
         raise ValueError(f"rate {rate} outside (0, 1)")
@@ -305,16 +323,22 @@ def union_bound_curve(b: IowefSlice, n: int, rate, ebn0_db, rest: int = 0,
     sums = []
     for db in ebn0_db:
         scale = _scale(rate, db)
-        tail = [4.0 * rest_coefficient * _q_at(scale, horizon)] if rest else []
+        known = {} if q_tables is None else q_tables.setdefault(scale, {})
+        if rest and horizon not in known:
+            known[horizon] = _q_at(scale, horizon)
+        tail = [4.0 * rest_coefficient * known[horizon]] if rest else []
         # a stop short of a distance that refuses would hide the refusal
         share = 2.0**-58 if scale * far < inf else 0.0
         head, floor = [], inf
         for d, coefficient in zip(distances, coefficients):
-            # _q_at, inline: a call per term would cost a quarter of the sum
-            x = sqrt(scale * d)
-            if not x < inf:
-                raise ValueError("q_function needs a finite argument")
-            q = 0.5 * erfc(x / root2)
+            if q_tables is None or (q := known.get(d)) is None:
+                # _q_at, inline: a call per term would cost a quarter of the sum
+                x = sqrt(scale * d)
+                if not x < inf:
+                    raise ValueError("q_function needs a finite argument")
+                q = 0.5 * erfc(x / root2)
+                if q_tables is not None:
+                    known[d] = q
             if q == 0.0:
                 break
             # the first term sets floor; under it, B <= 16 q top may pass
@@ -346,20 +370,20 @@ def p2_slice(config: PcccConfig, horizon: float = math.inf) -> IowefSlice:
     return distance_spectrum(a1, a2, horizon)
 
 
-def certified_p2(spectrum, total: int, n: int, rate, ebn0_db,
-                 horizon: float) -> tuple[float, ...]:
+def certified_p2(spectrum, total: int, n: int, rate, ebn0_db, horizon: float,
+                 q_tables: dict | None = None) -> tuple[float, ...]:
     """P(2) at each point of a grid, from spectrum(h), the weight-2
     distance spectrum below h of a block whose whole spectrum holds
     total counts.  It is clipped at horizon, a certified_horizon, and
     each sum is proved to equal that of the whole spectrum; when a proof
     fails the spectrum is rebuilt up to D* of the lowest point, where no
-    term adds to any sum."""
+    term adds to any sum.  Both sums share q_tables."""
     b = spectrum(horizon)
     sums = union_bound_curve(b, n, rate, ebn0_db, total - sum(b.coeffs.values()),
-                             horizon)
+                             horizon, q_tables)
     if sums is None:
         sums = union_bound_curve(spectrum(q_horizon(rate, min(ebn0_db))),
-                                 n, rate, ebn0_db)
+                                 n, rate, ebn0_db, q_tables=q_tables)
     return sums
 
 

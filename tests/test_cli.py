@@ -473,9 +473,9 @@ def test_out_refused_before_the_work(monkeypatch, tmp_path, capsys, argv,
     def no_work(*_):
         raise AssertionError("work started before --out was checked")
 
-    for module in (cli, cwef):
-        monkeypatch.setattr(module, "_cwef_w2", no_work)
-    monkeypatch.setattr(oracle, "run_case", no_work)
+    for module, name in ((cwef, "_cwef_w2"), (cli, "weight2_table"), (cli, "weight2_groups"),
+                         (oracle, "run_case")):
+        monkeypatch.setattr(module, name, no_work)
     target = tmp_path / where
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert code == 2 and out == ""
@@ -619,23 +619,33 @@ def test_search_matches_naive_ranking(tmp_path, capsys, gr, gf):
 
 
 def test_search_builds_each_row_once(monkeypatch, capsys):
-    # screening reads one packed table per code and builds no enumerator;
-    # P(2) builds one enumerator per distinct row at n
-    calls = count_cwef_builds(monkeypatch, cli, cwef)
-    tables = []
-    real_table = cwef.weight2_table
+    # screening reads one packed table per code, of one unit-row span walk
+    # per column of the probe-length block, and builds no enumerator; the
+    # P(2) tie-break walks each distinct parity row of its contenders once
+    # at n, whether the row is a par1 or a par2 row
+    calls = count_cwef_builds(monkeypatch, cwef, pccc)
+    walks = count_span_walks(monkeypatch)
+    tables, contenders = [], []
+    real_table, real_p2 = cwef.weight2_table, cli._search_p2
 
     def counted_table(*args):
         tables.append(args)
         return real_table(*args)
 
+    def recorded_p2(code1, code2, rows, *args):
+        contenders.extend(rows)
+        return real_p2(code1, code2, rows, *args)
+
     monkeypatch.setattr(cli, "weight2_table", counted_table)
+    monkeypatch.setattr(cli, "_search_p2", recorded_p2)
     code, out, _ = run(capsys, "search", "--gr1", "15", "--gf1", "17",
                        "--rate", "2/3", "--period", "4", "--n", "200")
     assert code == 0 and "# candidates = 924" in out
-    assert len(tables) == 1
-    assert calls and all(args[3] == 200 for args in calls)
-    assert len(set(calls)) == len(calls)
+    assert len(tables) == 1 and calls == []
+    parity_rows = {row for _, par1, par2 in contenders for row in (par1, par2)}
+    assert len(contenders) > len(parity_rows) > 1
+    probe = probe_length(RscCode.from_octals("15", "17"), 4)
+    assert sorted(walks) == sorted([(probe - 1) // 7] * 4 + [(200 - 1) // 7] * len(parity_rows))
 
 
 def test_search_screens_a_short_block_as_bound_reads_it(capsys):
@@ -679,9 +689,13 @@ def test_patterns_builds_each_constituent_once(monkeypatch, capsys):
     ["patterns", "--gr1", "23", "--gf1", "35", "--pseudo", "A"],
     ["bound", "--gr1", "23", "--gf1", "35", "--pseudo", "A", "--n", "500",
      "--wmax", "2"],
+    # the P(2) products of n = 10^6 take wide byte slots
+    ["search", "--gr1", "15", "--gf1", "17", "--rate", "1/2", "--period", "3",
+     "--n", "1000000"],
 ])
 def test_commands_without_the_dp_leave_numpy_unloaded(argv):
-    # only the trellis DP imports numpy
+    # only the trellis DP and the weight-3 tally import numpy: a search or
+    # pattern report that loaded it would pay its import in every process
     script = ("import sys; from turbobound.cli import entrypoint; "
               f"code = entrypoint({argv!r}); "
               "sys.exit(code or 'numpy' in sys.modules)")

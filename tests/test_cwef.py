@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import warnings
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 
 import turbobound.rsc as rsc
 
-from turbobound.cwef import (Cwef, cwef_w2_punctured, min_weights, path_weights,
-                             weight2_minima, weight2_table)
-from turbobound.oracle import brute_force_cwef, exact_cwef_dp
+from turbobound import cli
+from turbobound.cwef import (Cwef, _cwef_w2, cwef_w2_punctured, min_weights, path_weights,
+                             weight2_minima, weight2_table, weight2_total)
+from turbobound.oracle import GRID_CODES, brute_force_cwef, exact_cwef_dp
+from turbobound.pccc import _marginal, _slot_width, _unpack, certified_horizon
 from turbobound.puncture import pseudo_random_pattern, row_from_string
 from turbobound.rsc import RscCode, weight2_parity_response
 
@@ -251,6 +254,43 @@ def test_punctured_agrees_with_path_weights(code, pu, pz, extra, horizon):
             if cnt and key[1] < horizon:
                 expected[key] = expected.get(key, 0) + cnt
     assert cwef_w2_punctured(code, pu, pz, n, horizon).terms == expected
+
+
+@st.composite
+def marginal_cases(draw):
+    """(code, p_u, p_z, n, h): rows of one period 1-12, as search makes
+    them, or of two lengths whose lcm is the period; n from L + 1 to
+    10^6; h a certified horizon, or inf where n is at most 3,000."""
+    code = draw(st.sampled_from([RscCode.from_octals(*octals)
+                                 for octals in (*GRID_CODES, ("133", "171"))]))
+    m = draw(st.integers(1, 12))
+    lengths = (m, m) if draw(st.booleans()) else (m, draw(st.integers(1, 12)))
+    p_u, p_z = (draw(st.tuples(*[st.integers(0, 1)] * k)) for k in lengths)
+    if draw(st.booleans()):
+        n = draw(st.integers(code.period + 1, 3000))
+        return code, p_u, p_z, n, math.inf
+    n = draw(st.integers(code.period + 1, 10**6))
+    total = weight2_total(code, n) ** 2
+    h = certified_horizon(Fraction(1, 2), draw(st.floats(-2.0, 12.0)),
+                          draw(st.integers(0, 40)), total)
+    return code, p_u, p_z, n, h
+
+
+@settings(max_examples=150, deadline=None)
+@given(marginal_cases())
+# the last n whose products fit 8-byte slots, and the first that takes
+# wide byte slots (15/17: weight2_total(n)^2 passes 2^64 at 245,217)
+@example((CODE_15_17, (1, 0, 1, 1), (0, 1, 1, 0), 245216, 60))
+@example((CODE_15_17, (1, 0, 1, 1), (0, 1, 1, 0), 245217, 60))
+def test_packed_marginals_equal_the_enumerators(case):
+    # search's packed (sys, par1) marginal by u + z and par2 marginal by
+    # z, read below h, against the enumerator that bound builds
+    code, p_u, p_z, n, h = case
+    width = _slot_width(weight2_total(code, n) ** 2)
+    marginal = cli._weight2_marginals(code, n, width)
+    for u_weight, rows in ((1, (p_u, p_z)), (0, ((0,) * len(p_z), p_z))):
+        assert (dict(_unpack(marginal(*rows, h), h, width))
+                == _marginal(_cwef_w2(code, *rows, n, h), u_weight, h))
 
 
 def test_weight2_response_computed_once_per_code(monkeypatch):

@@ -9,6 +9,7 @@ change a sum, and rebuild up to D* when the proof fails, so each value
 must stay == the union sum of the whole spectrum, float for float.
 """
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -40,10 +41,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def unclipped_p2(config, ebn0_db):
-    # the whole n-length spectrum, each point walked to its first Q of 0.0
-    a1, a2 = (cwef_w2_punctured(*c, config.n) for c in config.constituents())
-    b = distance_spectrum(a1, a2)
+def unclipped_p2(config, ebn0_db, horizon=math.inf):
+    # the whole n-length spectrum, each point walked to its first Q of 0.0;
+    # clipping it at D* of the lowest point changes no walk
+    a1, a2 = (cwef_w2_punctured(*c, config.n, horizon) for c in config.constituents())
+    b = distance_spectrum(a1, a2, horizon)
     return list(walked_union_curve(b, config.n, config.rate, ebn0_db))
 
 
@@ -132,6 +134,23 @@ def test_search_p2_equals_the_unclipped_sum_whatever_its_d_min(config, db, d_min
                           db, d_min) == unclipped_p2(config, (db,))
 
 
+def test_search_p2_rebuilds_each_contender_whose_proof_fails():
+    # at 20 dB and d_min 0 the horizon is 2, below every distance: each
+    # spectrum product there is 0 and each proof fails, so contenders
+    # with equal products must not share a P(2) rebuilt at D*
+    code, n, rate, db = CODE_15_17, 100, Fraction(1, 2), 20.0
+    contenders = [(bits[:3], bits[3:6], bits[6:])
+                  for bits in itertools.product((0, 1), repeat=9) if sum(bits) == 6]
+    d_star = q_horizon(rate, db)
+    want = []
+    for sys_row, par1_row, par2_row in contenders:
+        a1 = cwef_w2_punctured(code, sys_row, par1_row, n, d_star)
+        a2 = cwef_w2_punctured(code, (0, 0, 0), par2_row, n, d_star)
+        want += walked_union_curve(distance_spectrum(a1, a2, d_star), n, rate, (db,))
+    assert len(set(want)) > 1
+    assert cli._search_p2(code, code, contenders, n, rate, db, 0) == want
+
+
 def test_a_rest_that_could_change_a_sum_forces_the_rebuild_at_d_star():
     config = PcccConfig(CODE_23_35, CODE_23_35,
                         pseudo_random_pattern(CODE_23_35, "A"), 4000)
@@ -218,17 +237,24 @@ def test_union_bound_curve_is_pointwise():
         union_bound_term(b, 1000, Fraction(1, 2), db) for db in grid)
 
 
-@pytest.mark.parametrize("db", [6.0, 0.0, -1000.0, 3000.0])
-def test_search_tie_break_equals_union_bound_term(db):
+@pytest.mark.parametrize("db, n", [(6.0, 600), (0.0, 600), (-1000.0, 600), (3000.0, 600),
+                                   (6.0, 10**6)],
+                         ids=["6.0", "0.0", "-1000.0", "3000.0", "6.0-n1000000"])
+def test_search_tie_break_equals_union_bound_term(db, n):
+    # at n = 10^6 the two constituents' whole counts multiply past 2^64,
+    # so the products take wide byte slots; there the whole spectrum,
+    # about 16 s per contender, is clipped at D*
     code = RscCode.from_octals("15", "17")
     contenders = [((1, 0, 1), (0, 1, 1), (1, 1, 0)), ((1, 1, 0), (0, 1, 1), (1, 0, 1)),
                   ((0, 1, 1), (1, 0, 1), (1, 1, 0)), ((1, 0, 0), (0, 1, 1), (1, 1, 1))]
-    n, rate = 600, Fraction(1, 2)
+    rate = Fraction(1, 2)
+    clip = q_horizon(rate, db) if n > 10**4 else math.inf
+    assert (weight2_total(code, n) ** 2 >= 2**64) == (n > 10**4)
     want = []
     for rows in contenders:
         config = PcccConfig(code, code, PcccPunctureSet(*rows), n)
         assert config.rate == rate
-        want += unclipped_p2(config, (db,))
+        want += unclipped_p2(config, (db,), clip)
     assert cli._search_p2(code, code, contenders, n, rate, db, 0) == want
 
 
