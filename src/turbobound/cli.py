@@ -16,20 +16,20 @@ import sys
 import tempfile
 import warnings
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from heapq import nlargest
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
 from . import __version__
-from .cwef import weight2_groups, weight2_minima, weight2_table, weight2_total
+from .cwef import weight2_minima, weight2_table, weight2_total
 from .oracle import DP_D_LIMIT, DP_W_LIMIT, run_verification
-from .pccc import (IowefSlice, PcccConfig, _pack, _slot_width, _unpack,
-                   certified_horizon, certified_p2, d_free_eff,
-                   free_effective_distance, p2_approximation, truncated_union_bound)
+from .pccc import (PcccConfig, certified_horizon, certified_p2, d_free_eff,
+                   free_effective_distance, p2_approximation, truncated_union_bound,
+                   weight2_spectra)
 # not called here; the benchmark harness self-test traces cli.p2_slice
 from .pccc import p2_slice  # noqa: F401
-from .puncture import (PcccPunctureSet, classification, code_rate, extend_row,
+from .puncture import (PcccPunctureSet, classification, code_rate,
                        probe_length, pseudo_random_pattern,
                        punctured_core_weights, row_from_string, row_to_string)
 from .rsc import RscCode
@@ -266,50 +266,20 @@ def cmd_patterns(args) -> int:
     return 0
 
 
-def _weight2_marginals(code, n: int, width: int):
-    """marginal(p_u, p_z, h), whose width-byte slots below h are those of
-    _marginal(_cwef_w2(code, p_u, p_z, n, h), 1, h): the sum of p_z's
-    weight2_groups, each packed once and moved up by its u."""
-    @cache
-    def groups(p_z, m_period, h):
-        return [(m0, c, _pack(g, 0, max(g), width))
-                for (m0, c), g in weight2_groups(code, p_z, m_period, n, h).items()]
-
-    @cache
-    def marginal(p_u, p_z, h):
-        m_period = lcm(len(p_u), len(p_z))
-        pu = extend_row(p_u, m_period)
-        return sum(g << 8 * width * (pu[m0] + pu[c]) for m0, c, g in groups(p_z, m_period, h))
-    return marginal
-
-
 def _search_p2(code1, code2, contenders, n, rate, db, d_min):
     """P(2) of each contender, from the spectrum, union sum and proof that
-    `bound` uses at one certified horizon: each spectrum is one product of
-    two packed marginals, each distinct one summed once, against one Q
-    table.  d_min, the largest weight-2 distance among the contenders,
-    steers the horizon: a smaller one only makes rebuilds at D* likelier."""
+    `bound` uses at one certified horizon: each distinct parity row is
+    walked once, each spectrum is one product of two packed marginals,
+    and every contender reads one table of Q values.  d_min, the largest
+    weight-2 distance among the contenders, steers the horizon: a smaller
+    one only makes rebuilds at D* likelier."""
     total = weight2_total(code1, n) * weight2_total(code2, n)
     horizon = certified_horizon(rate, db, d_min, total)
-    # a product's slots sum to at most total, so none passes it
-    width = _slot_width(total)
-    marginal1 = _weight2_marginals(code1, n, width)  # held for this command only
-    marginal2 = marginal1 if code2 is code1 else _weight2_marginals(code2, n, width)
-    q_tables, proved = {}, {}  # Q by SNR and distance; P(2) by product at the horizon
+    spectrum = weight2_spectra(code1, code2, n)  # held for this command only
+    q_tables: dict = {}
     out = []
-    for sys_row, par1_row, par2_row in contenders:
-        def product(h):
-            return marginal1(sys_row, par1_row, h) * marginal2((0,) * len(par2_row), par2_row, h)
-
-        def spectrum(h):
-            heights.append(h)
-            return IowefSlice(2, dict(_unpack(key if h == horizon else product(h), h, width)))
-        key, heights = product(horizon), []
-        # equal products share one P(2), unless a rebuild at D* made it
-        sums = proved.get(key) or certified_p2(spectrum, total, n, rate, (db,), horizon, q_tables)
-        if len(heights) == 1:
-            proved[key] = sums
-        out += sums
+    for rows in contenders:
+        out += certified_p2(partial(spectrum, *rows), total, n, rate, (db,), horizon, q_tables)
     return out
 
 

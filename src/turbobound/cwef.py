@@ -7,9 +7,9 @@ m.  One walk, _span_cycle, gives every such path's (u, z): from each
 start column it adds one period's core weight and join bit per span,
 over at most one column cycle of lcm(L, M) / L periods.  A path a
 cycle longer ends in the same column, with its parity grown by a fixed
-step, so the enumerator, its groups by column, the span minimum and
-the packed screening table all read that walk, and no trellis is
-touched.  path_weights is the independent reference, one path at a time.
+step, so the enumerator, the span minimum and the packed screening
+table all read that walk, and no trellis is touched.  path_weights is
+the independent reference, one path at a time.
 
 A terminated weight-3 input is one error event too, since no event has
 input weight 1.  Between its 1s the state walks the zero-input orbit of
@@ -139,57 +139,47 @@ def cwef_w2_punctured(code: RscCode, p_u, p_z, n: int,
     return _cwef_w2(code, as_row(p_u), as_row(p_z), n, horizon)
 
 
-def _cwef_w2(code: RscCode, p_u: Row, p_z: Row, n: int,
-             horizon: float = math.inf) -> Cwef:
-    """cwef_w2_punctured over rows its callers validated, with no warning."""
-    l_period = code.period
-    m_period = lcm(len(p_u), len(p_z))
-    lost = lcm(l_period, m_period) // m_period
-    terms: dict[tuple[int, int], int] = {}
-    walks = _span_cycle(code, p_u, p_z, (n - 1) // l_period, horizon)
-    for m0, (paths, step) in enumerate(walks):
-        for k, (u, z) in enumerate(paths, 1):
-            # the starts t = m0 mod M with t + kL < n
-            count = -(-(n - k * l_period - m0) // m_period)
-            if step == 0 and count > 0 and z < horizon:
-                # no parity per column cycle: the J terms count, count - lost,
-                # ... all land on (u, z), summed at once
-                j = -(-count // lost)
-                terms[u, z] = terms.get((u, z), 0) + j * count - lost * j * (j - 1) // 2
-                continue
-            while count > 0 and z < horizon:
-                terms[u, z] = terms.get((u, z), 0) + count
-                count -= lost
-                z += step
-    return Cwef(2, n, terms)
-
-
-def weight2_groups(code: RscCode, p_z: Row, m_period: int, n: int,
-                   horizon: float = math.inf) -> dict[tuple[int, int], dict[int, int]]:
+def _weight2_counts(code: RscCode, p_z: Row, m_period: int, n: int,
+                    horizon: float = math.inf):
     """The paths of _cwef_w2(code, p_u, p_z, n, horizon), for any p_u of
-    period m_period, by z alone in one group per start and remerge column
-    (m0, c): their u is p_u[m0] + p_u[c].  One walk of p_z with no
-    systematic bit, expanded by _cwef_w2's rules into at most M^2 groups,
-    which long rows cannot afford."""
+    period m_period, as (m0, c, progression): the paths that start in
+    column m0 and remerge in column c, so that their u is p_u[m0] +
+    p_u[c], with their (z, count) below horizon.  One walk of p_z, with
+    no systematic bit; each walked path stands for a progression one
+    column cycle apart."""
     l_period = code.period
     lost = lcm(l_period, m_period) // m_period
-    groups: dict[tuple[int, int], dict[int, int]] = {}
     walks = _span_cycle(code, (0,) * m_period, p_z, (n - 1) // l_period, horizon)
     for m0, (paths, step) in enumerate(walks):
         for k, (_, z) in enumerate(paths, 1):
+            # the starts t = m0 mod M with t + kL < n
             count = -(-(n - k * l_period - m0) // m_period)
             if count <= 0 or z >= horizon:
                 continue
-            slots = groups.setdefault((m0, (m0 + k * l_period) % m_period), {})
+            c = (m0 + k * l_period) % m_period
             if step == 0:
+                # no parity per column cycle: the J terms count, count - lost,
+                # ... all land on z, summed at once
                 j = -(-count // lost)
-                slots[z] = slots.get(z, 0) + j * count - lost * j * (j - 1) // 2
+                yield m0, c, ((z, j * count - lost * j * (j - 1) // 2),)
                 continue
-            while count > 0 and z < horizon:
-                slots[z] = slots.get(z, 0) + count
-                count -= lost
-                z += step
-    return groups
+            # per column cycle z rises by step and the starts that fit fall
+            # by lost: at most count cycles, and those below horizon
+            z_stop = math.ceil(min(horizon, z + step * count))
+            yield m0, c, zip(range(z, z_stop, step), range(count, 0, -lost))
+
+
+def _cwef_w2(code: RscCode, p_u: Row, p_z: Row, n: int,
+             horizon: float = math.inf) -> Cwef:
+    """cwef_w2_punctured over rows its callers validated, with no warning."""
+    m_period = lcm(len(p_u), len(p_z))
+    pu = extend_row(p_u, m_period)
+    terms: dict[tuple[int, int], int] = {}
+    for m0, c, progression in _weight2_counts(code, p_z, m_period, n, horizon):
+        u = pu[m0] + pu[c]
+        for z, count in progression:
+            terms[u, z] = terms.get((u, z), 0) + count
+    return Cwef(2, n, terms)
 
 
 def weight2_total(code: RscCode, n: int) -> int:

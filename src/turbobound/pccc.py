@@ -16,14 +16,15 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import compress
 from math import comb, lcm
 
-from .cwef import Cwef, Weight3Events, _cwef_w2, weight2_minima, weight2_total
+from .cwef import (Cwef, Weight3Events, _cwef_w2, _weight2_counts, weight2_minima,
+                   weight2_total)
 from .oracle import (check_dp_limits, counts_from_cells, event_span_bound, event_tables_fit,
                      exact_cwef_dp, span_step_cost)
-from .puncture import PcccPunctureSet, code_rate
+from .puncture import PcccPunctureSet, code_rate, extend_row
 from .rsc import RscCode
 
 
@@ -92,22 +93,17 @@ class BoundCurve:
         return "\n".join(lines) + "\n"
 
 
-# the array type of each slot width up to 8 bytes
-_SLOT_TYPES = {array(t).itemsize: t for t in "BHIQ"}
-
-
 def _slot_width(largest: int) -> int:
     """Bytes per slot of a packed product none of whose slots passes
-    largest: the narrowest array type's, or wide byte slots past 64 bits."""
-    return next((width for width in sorted(_SLOT_TYPES) if largest < 1 << 8 * width),
-                largest.bit_length() // 8 + 1)
+    largest: 8, or wide byte slots past 64 bits."""
+    return 8 if largest < 1 << 64 else largest.bit_length() // 8 + 1
 
 
 def _pack(counts: dict[int, int], low: int, high: int, width: int) -> int:
     """Kronecker substitution: one int whose little-endian slot i, width
     bytes wide, holds counts[low + i] (absent keys are zero slots)."""
-    if width in _SLOT_TYPES:
-        slots = array(_SLOT_TYPES[width], bytes(width * (high - low + 1)))
+    if width == 8:
+        slots = array("Q", bytes(8 * (high - low + 1)))
         for z, c in counts.items():
             slots[z - low] = c
         if sys.byteorder == "big":
@@ -125,11 +121,12 @@ def _unpack(packed: int, slots: float, width: int):
     of a product of two, in order."""
     slots = min(slots, packed.bit_length() // (8 * width) + 1)
     raw = (packed & ((1 << 8 * width * slots) - 1)).to_bytes(width * slots, "little")
-    if width in _SLOT_TYPES:
-        counts = array(_SLOT_TYPES[width], raw)
+    if width == 8:
+        counts = array("Q", raw)
         if sys.byteorder == "big":
             counts.byteswap()
     else:
+        raw = memoryview(raw)
         counts = [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(slots)]
     return compress(enumerate(counts), counts)
 
@@ -147,6 +144,44 @@ def _convolve(x: dict[int, int], y: dict[int, int]):
     for i, c in _unpack(_pack(x, x_low, x_high, width) * _pack(y, y_low, y_high, width),
                         x_high - x_low + y_high - y_low + 1, width):
         yield x_low + y_low + i, c
+
+
+def _weight2_marginals(code: RscCode, n: int, width: int):
+    """marginal(p_u, p_z, h), whose width-byte slots below h are those of
+    _marginal(_cwef_w2(code, p_u, p_z, n, h), 1, h): p_z's paths by z in
+    one group per start and remerge column, each packed once and moved
+    up by its u.  Long rows cannot afford the up to M^2 groups."""
+    @cache
+    def groups(p_z, m_period, h):
+        by_columns: dict[tuple[int, int], dict[int, int]] = {}
+        for m0, c, progression in _weight2_counts(code, p_z, m_period, n, h):
+            group = by_columns.setdefault((m0, c), {})
+            for z, count in progression:
+                group[z] = group.get(z, 0) + count
+        return [(m0, c, _pack(g, 0, max(g), width)) for (m0, c), g in by_columns.items()]
+
+    @cache
+    def marginal(p_u, p_z, h):
+        m_period = lcm(len(p_u), len(p_z))
+        pu = extend_row(p_u, m_period)
+        return sum(g << 8 * width * (pu[m0] + pu[c]) for m0, c, g in groups(p_z, m_period, h))
+    return marginal
+
+
+def weight2_spectra(code1: RscCode, code2: RscCode, n: int):
+    """spectrum(p_u, p_z1, p_z2, h), equal to distance_spectrum of the
+    _cwef_w2 pair of rows (p_u, p_z1) and (0, p_z2) at n below h, for
+    many row triples at once: each distinct parity row is walked once
+    per h, and each spectrum is one product of two packed marginals."""
+    # a product's slots sum to at most both codes' whole counts
+    width = _slot_width(weight2_total(code1, n) * weight2_total(code2, n))
+    marginal1 = _weight2_marginals(code1, n, width)
+    marginal2 = marginal1 if code2 is code1 else _weight2_marginals(code2, n, width)
+
+    def spectrum(p_u, p_z1, p_z2, h):
+        product = marginal1(p_u, p_z1, h) * marginal2((0,) * len(p_z2), p_z2, h)
+        return IowefSlice(2, dict(_unpack(product, h, width)))
+    return spectrum
 
 
 def _check_pair(a1: Cwef, a2: Cwef, n: int, w: int) -> None:
@@ -304,8 +339,9 @@ def union_bound_curve(b: IowefSlice, n: int, rate, ebn0_db, rest: int = 0,
     bounds every term left out, subnormal roundings too.  No stop is
     tried short of a distance that refuses a non-finite argument, so
     each call raises or returns None just as a walk over every term.
-    q_tables, a dict kept across calls, holds each Q computed by 2 R Eb/N0
-    and distance, so that calls at the same points share every Q."""
+    q_tables, a dict that calls at the same points may share, holds each
+    Q computed, by 2 R Eb/N0 and distance."""
+    q_tables = {} if q_tables is None else q_tables
     rate = Fraction(rate)
     if not 0 < rate < 1:
         raise ValueError(f"rate {rate} outside (0, 1)")
@@ -323,7 +359,7 @@ def union_bound_curve(b: IowefSlice, n: int, rate, ebn0_db, rest: int = 0,
     sums = []
     for db in ebn0_db:
         scale = _scale(rate, db)
-        known = {} if q_tables is None else q_tables.setdefault(scale, {})
+        known = q_tables.setdefault(scale, {})
         if rest and horizon not in known:
             known[horizon] = _q_at(scale, horizon)
         tail = [4.0 * rest_coefficient * known[horizon]] if rest else []
@@ -331,14 +367,12 @@ def union_bound_curve(b: IowefSlice, n: int, rate, ebn0_db, rest: int = 0,
         share = 2.0**-58 if scale * far < inf else 0.0
         head, floor = [], inf
         for d, coefficient in zip(distances, coefficients):
-            if q_tables is None or (q := known.get(d)) is None:
+            if (q := known.get(d)) is None:
                 # _q_at, inline: a call per term would cost a quarter of the sum
                 x = sqrt(scale * d)
                 if not x < inf:
                     raise ValueError("q_function needs a finite argument")
-                q = 0.5 * erfc(x / root2)
-                if q_tables is not None:
-                    known[d] = q
+                q = known[d] = 0.5 * erfc(x / root2)
             if q == 0.0:
                 break
             # the first term sets floor; under it, B <= 16 q top may pass
@@ -501,12 +535,13 @@ def truncated_union_bound(config: PcccConfig, w_max: int, d_max: int,
     (e1, t1), (e2, t2) = (constituent_cwefs(*c, config.n, w_max, d_max) for c in (c1, c2))
     truncated = t1 or t2
     per_weight: dict[int, tuple[float, ...]] = {}
+    q_tables: dict = {}  # every weight reads the same Q values
     for w in range(2, w_max + 1):
         spectrum = dict(_convolve(e1[w], e2[w]))
         kept = {d: c for d, c in spectrum.items() if d <= d_max}
         truncated |= len(kept) < len(spectrum)
         per_weight[w] = union_bound_curve(IowefSlice(w, kept), config.n, config.rate,
-                                          ebn0_db)
+                                          ebn0_db, q_tables=q_tables)
     totals = [math.fsum(per_weight[w][i] for w in per_weight)
               for i in range(len(ebn0_db))]
     curve = BoundCurve(_as_points(totals, ebn0_db), label=f"union_w{w_max}")

@@ -473,7 +473,7 @@ def test_out_refused_before_the_work(monkeypatch, tmp_path, capsys, argv,
     def no_work(*_):
         raise AssertionError("work started before --out was checked")
 
-    for module, name in ((cwef, "_cwef_w2"), (cli, "weight2_table"), (cli, "weight2_groups"),
+    for module, name in ((cwef, "_cwef_w2"), (cli, "weight2_table"), (pccc, "_weight2_counts"),
                          (oracle, "run_case")):
         monkeypatch.setattr(module, name, no_work)
     target = tmp_path / where

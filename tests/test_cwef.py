@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 import turbobound.rsc as rsc
 
-from turbobound import cli
 from turbobound.cwef import (Cwef, _cwef_w2, cwef_w2_punctured, min_weights, path_weights,
                              weight2_minima, weight2_table, weight2_total)
 from turbobound.oracle import GRID_CODES, brute_force_cwef, exact_cwef_dp
-from turbobound.pccc import _marginal, _slot_width, _unpack, certified_horizon
+from turbobound.pccc import (_marginal, _slot_width, _unpack, _weight2_marginals,
+                             certified_horizon)
 from turbobound.puncture import pseudo_random_pattern, row_from_string
 from turbobound.rsc import RscCode, weight2_parity_response
 
@@ -287,7 +287,7 @@ def test_packed_marginals_equal_the_enumerators(case):
     # z, read below h, against the enumerator that bound builds
     code, p_u, p_z, n, h = case
     width = _slot_width(weight2_total(code, n) ** 2)
-    marginal = cli._weight2_marginals(code, n, width)
+    marginal = _weight2_marginals(code, n, width)
     for u_weight, rows in ((1, (p_u, p_z)), (0, ((0,) * len(p_z), p_z))):
         assert (dict(_unpack(marginal(*rows, h), h, width))
                 == _marginal(_cwef_w2(code, *rows, n, h), u_weight, h))

@@ -136,8 +136,8 @@ def test_search_p2_equals_the_unclipped_sum_whatever_its_d_min(config, db, d_min
 
 def test_search_p2_rebuilds_each_contender_whose_proof_fails():
     # at 20 dB and d_min 0 the horizon is 2, below every distance: each
-    # spectrum product there is 0 and each proof fails, so contenders
-    # with equal products must not share a P(2) rebuilt at D*
+    # spectrum product there is 0 and each proof fails, so each contender
+    # must be rebuilt at D* from its own rows
     code, n, rate, db = CODE_15_17, 100, Fraction(1, 2), 20.0
     contenders = [(bits[:3], bits[3:6], bits[6:])
                   for bits in itertools.product((0, 1), repeat=9) if sum(bits) == 6]
