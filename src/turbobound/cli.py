@@ -276,8 +276,7 @@ def _search_p2(code1, code2, contenders, n, rate, db, d_min):
     total = weight2_total(code1, n) * weight2_total(code2, n)
     horizon = certified_horizon(rate, db, d_min, total)
     spectrum = weight2_spectra(code1, code2, n)  # held for this command only
-    q_tables: dict = {}
-    out = []
+    q_tables, out = {}, []
     for rows in contenders:
         out += certified_p2(partial(spectrum, *rows), total, n, rate, (db,), horizon, q_tables)
     return out

@@ -141,12 +141,9 @@ def cwef_w2_punctured(code: RscCode, p_u, p_z, n: int,
 
 def _weight2_counts(code: RscCode, p_z: Row, m_period: int, n: int,
                     horizon: float = math.inf):
-    """The paths of _cwef_w2(code, p_u, p_z, n, horizon), for any p_u of
-    period m_period, as (m0, c, progression): the paths that start in
-    column m0 and remerge in column c, so that their u is p_u[m0] +
-    p_u[c], with their (z, count) below horizon.  One walk of p_z, with
-    no systematic bit; each walked path stands for a progression one
-    column cycle apart."""
+    """(m0, c, their (z, count) below horizon) of the paths from column m0
+    to remerge column c, whose u is p_u[m0] + p_u[c] in _cwef_w2(code, p_u,
+    p_z, n, horizon) for any p_u of period m_period: one walk of p_z."""
     l_period = code.period
     lost = lcm(l_period, m_period) // m_period
     walks = _span_cycle(code, (0,) * m_period, p_z, (n - 1) // l_period, horizon)

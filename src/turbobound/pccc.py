@@ -341,7 +341,6 @@ def union_bound_curve(b: IowefSlice, n: int, rate, ebn0_db, rest: int = 0,
     each call raises or returns None just as a walk over every term.
     q_tables, a dict that calls at the same points may share, holds each
     Q computed, by 2 R Eb/N0 and distance."""
-    q_tables = {} if q_tables is None else q_tables
     rate = Fraction(rate)
     if not 0 < rate < 1:
         raise ValueError(f"rate {rate} outside (0, 1)")
@@ -359,7 +358,7 @@ def union_bound_curve(b: IowefSlice, n: int, rate, ebn0_db, rest: int = 0,
     sums = []
     for db in ebn0_db:
         scale = _scale(rate, db)
-        known = q_tables.setdefault(scale, {})
+        known = {} if q_tables is None else q_tables.setdefault(scale, {})
         if rest and horizon not in known:
             known[horizon] = _q_at(scale, horizon)
         tail = [4.0 * rest_coefficient * known[horizon]] if rest else []
