@@ -437,7 +437,7 @@ def p2_approximation(config: PcccConfig, ebn0_db) -> BoundCurve:
     total = weight2_total(config.code1, config.n) * weight2_total(config.code2, config.n)
     horizon = certified_horizon(config.rate, min(ebn0_db), m1 + z2, total)
     raw = certified_p2(lambda h: p2_slice(config, h), total, config.n,
-                       config.rate, ebn0_db, horizon)
+                       config.rate, ebn0_db, horizon, {})
     return BoundCurve(_as_points(raw, ebn0_db), label="p2")
 
 
