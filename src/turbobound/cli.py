@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb
 
 from . import __version__
-from .cwef import weight2_minima, weight2_table, weight2_total
+from .cwef import weight2_heads, weight2_least, weight2_minima, weight2_total
 from .oracle import DP_D_LIMIT, DP_W_LIMIT, run_verification
 from .pccc import (PcccConfig, certified_horizon, certified_p2, d_free_eff,
                    free_effective_distance, p2_approximation, truncated_union_bound,
@@ -322,21 +322,26 @@ def cmd_search(args) -> int:
         classes.append((pairs, _rows(m, kept - k)))
 
     # behind the uniform interleaver d_free_eff splits into a constituent-1
-    # part and a par2 part, so each distinct row is screened once, off one
-    # packed weight-2 table per code of the block that `bound` reads
-    zeros = (0,) * m
-    table1 = weight2_table(code1, m, args.n)
-    table2 = table1 if code2 is code1 else weight2_table(code2, m, args.n)
-    minima1 = table1.minima(pair for pairs, _ in classes for pair in pairs)
-    minima2 = table2.minima((zeros, par2) for _, rows in classes for par2 in rows)
+    # part and a par2 part, so each distinct (sys, par1) pair and par2 row
+    # is screened once, off the weight-2 heads of the block that `bound`
+    # reads, walked once per distinct parity row and code
+    heads = {code: cache(partial(weight2_heads, code, m_period=m, n=args.n)) for code in codes}
+    heads1, heads2 = heads[code1], heads[code2]
+    m1s = {}
+    for pairs, _ in classes:
+        for sys_row, par1 in pairs:
+            rows = heads1(par1)
+            m1s[sys_row, par1] = weight2_least(rows, sys_row), rows[0][0]
+    # constituent 2 keeps no systematic bit, so both its minima are the least z
+    m2s = {par2: (heads2(par2)[0][0],) * 2 for _, rows in classes for par2 in rows}
 
     def triples():
         """Every candidate with its two constituents' minima."""
         for pairs, rows in classes:
-            m2s = [(par2, minima2[zeros, par2]) for par2 in rows]
+            row_minima = [(par2, m2s[par2]) for par2 in rows]
             for pair in pairs:
-                m1 = minima1[pair]
-                for par2, m2 in m2s:
+                m1 = m1s[pair]
+                for par2, m2 in row_minima:
                     yield (*pair, par2), m1, m2
 
     dfree = [d_free_eff(m1, m2) for _, m1, m2 in triples()]

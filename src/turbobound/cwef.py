@@ -7,9 +7,9 @@ m.  One walk, _span_cycle, gives every such path's (u, z): from each
 start column it adds one period's core weight and join bit per span,
 over at most one column cycle of lcm(L, M) / L periods.  A path a
 cycle longer ends in the same column, with its parity grown by a fixed
-step, so the enumerator, the span minimum and the packed screening
-table all read that walk, and no trellis is touched.  path_weights is
-the independent reference, one path at a time.
+step, so the enumerator, the span minimum and the weight-2 heads
+behind every minimum all read that walk, and no trellis is touched.
+path_weights is the independent reference, one path at a time.
 
 A terminated weight-3 input is one error event too, since no event has
 input weight 1.  Between its 1s the state walks the zero-input orbit of
@@ -21,12 +21,10 @@ starts in closed form: cwef_w3_punctured is exact at every n.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
-from array import array
 from dataclasses import dataclass
-from itertools import compress
 from math import lcm
+from operator import itemgetter
 
 from .puncture import Row, _core_weights, as_row, extend_row, probe_length
 from .rsc import RscCode, weight2_parity_response
@@ -194,97 +192,52 @@ def weight2_span_minimum(code: RscCode, p_u, p_z, k: int) -> int:
     return min(sum(_span_weights(walk, k)) for walk in walks)
 
 
-def _minima_block(code: RscCode, m_period: int, n: int | None) -> int:
-    """The block whose weight-2 paths hold the minima of an n-step block,
-    or of any block when n is None: probe_length, or a shorter n.
-    Refuses a block that no weight-2 path fits in."""
+def weight2_heads(code: RscCode, p_z: Row, m_period: int,
+                  n: int | None = None) -> list[tuple[int, int, int]]:
+    """(z, m0, c), sorted by z, of each weight-2 path of z < L + 3 in the
+    block of min(probe_length, n) steps, or probe_length if n is None:
+    span kL + 1 from column m0 to c = (m0 + kL) mod M, whose u under a
+    row p_u of period M is p_u[m0] + p_u[c].  A block no path fits in is
+    refused.  These hold both minima under any p_u: span L + 1 from
+    column 0 fits and weighs at most L + 3; each walked path is the
+    lightest of its progression, as step >= 0; and kL + m0 < cycle L + M
+    <= probe_length for every k <= cycle and m0 < M."""
+    l_period = code.period
     probe = probe_length(code, m_period)
     block = probe if n is None else min(probe, n)
-    if block <= code.period:
-        raise ValueError(f"no weight-2 path fits in n={block} <= L={code.period}")
-    return block
+    if block <= l_period:
+        raise ValueError(f"no weight-2 path fits in n={block} <= L={l_period}")
+    horizon = l_period + 3
+    walks = _span_cycle(code, (0,) * m_period, p_z, (block - 1) // l_period, horizon)
+    heads = [(z, m0, (m0 + k * l_period) % m_period)
+             for m0, (paths, _) in zip(range(block), walks)
+             for k, (_, z) in enumerate(paths[:(block - m0 - 1) // l_period], 1)
+             if z < horizon]
+    heads.sort(key=itemgetter(0))
+    return heads
+
+
+def weight2_least(heads, p_u: Row) -> int:
+    """The least u + z over weight2_heads under a row p_u of period M: a
+    scan that stops at the first head whose z alone reaches it, as u >= 0."""
+    best = math.inf
+    for z, m0, c in heads:
+        if z >= best:
+            break
+        d = p_u[m0] + p_u[c] + z
+        if d < best:
+            best = d
+    return best
 
 
 def weight2_minima(code: RscCode, p_u, p_z, n: int | None = None) -> tuple[int, int]:
     """min_weights over the weight-2 paths of an n-step block, or of any
-    block when n is None, as running minima of the span walk at probe_length
-    or a shorter n: the source for one row pair, Weight2Table's reference."""
+    block when n is None, read off weight2_heads at probe_length or a
+    shorter n."""
     p_u, p_z = as_row(p_u), as_row(p_z)
-    block = _minima_block(code, lcm(len(p_u), len(p_z)), n)
-    walks = _span_cycle(code, p_u, p_z, (block - 1) // code.period)
-    # the path of span kL + 1 from column m0 fits when m0 + kL < block,
-    # and a walked path is the lightest of its progression, as step >= 0
-    least = [(min(u + z for u, z in fits), min(z for _, z in fits))
-             for m0, (paths, _) in zip(range(block), walks)
-             if (fits := paths[:(block - m0 - 1) // code.period])]
-    return tuple(map(min, zip(*least)))
-
-
-@dataclass(frozen=True)
-class Weight2Table:
-    """The weight-2 paths of one block under period-M rows, packed by
-    pattern column.  Slot p of z_cols[c], an item of array type `slot`,
-    counts the parity ones that path p sends in column c, and slot p of
-    u_cols[c] its systematic ones; all the slots take nbytes.  A row
-    keeps a set of columns, so the sum of the column ints it keeps holds
-    its weight on every path at once.  No slot carries into the next: a
-    path of span kL + 1 weighs at most kL + 3, and the slot type is
-    chosen to hold the longest."""
-
-    period: int
-    slot: str
-    nbytes: int
-    u_cols: tuple[int, ...]
-    z_cols: tuple[int, ...]
-
-    def _least(self, packed: int) -> int:
-        return min(memoryview(packed.to_bytes(self.nbytes, sys.byteorder)).cast(self.slot))
-
-    def minima(self, pairs) -> dict[tuple[Row, Row], tuple[int, int]]:
-        """weight2_minima of each (p_u, p_z) pair of rows whose lengths
-        divide M, keyed by the pair: each distinct row is packed once,
-        and each pair then costs one addition and one slot scan."""
-        u_packed: dict[Row, int] = {}
-        z_packed: dict[Row, tuple[int, int]] = {}
-        out = {}
-        for p_u, p_z in pairs:
-            u = u_packed.get(p_u)
-            if u is None:
-                u = u_packed[p_u] = sum(compress(self.u_cols, extend_row(p_u, self.period)))
-            z_entry = z_packed.get(p_z)
-            if z_entry is None:
-                z = sum(compress(self.z_cols, extend_row(p_z, self.period)))
-                z_entry = z_packed[p_z] = z, self._least(z)
-            out[p_u, p_z] = self._least(u + z_entry[0]), z_entry[1]
-        return out
-
-
-def weight2_table(code: RscCode, m_period: int, n: int) -> Weight2Table:
-    """The Weight2Table of the block that weight2_minima reads for
-    period-M rows at n.  A path's u and z count the ones it sends in the
-    columns a row keeps, so slot p of column c is path p's weight under
-    the unit row that keeps column c alone: one span walk per column."""
-    l_period = code.period
-    block = _minima_block(code, m_period, n)
-    k_max = (block - 1) // l_period
-    # the path from column m0 fits when some start t = m0 mod M has
-    # t + kL < block
-    paths = [(k, m0) for k in range(1, k_max + 1)
-             for m0 in range(min(m_period, block - k * l_period))]
-    slot = next(s for s in "BHIQ" if block + 2 < 1 << 8 * array(s).itemsize)
-
-    def packed(slots):
-        return int.from_bytes(array(slot, slots).tobytes(), sys.byteorder)
-
-    u_cols, z_cols = [], []
-    for c in range(m_period):
-        unit = tuple(int(i == c) for i in range(m_period))
-        walks = list(_span_cycle(code, unit, unit, k_max))
-        u_slots, z_slots = zip(*(_span_weights(walks[m0], k) for k, m0 in paths))
-        u_cols.append(packed(u_slots))
-        z_cols.append(packed(z_slots))
-    return Weight2Table(m_period, slot, len(paths) * array(slot).itemsize,
-                        tuple(u_cols), tuple(z_cols))
+    m_period = lcm(len(p_u), len(p_z))
+    heads = weight2_heads(code, p_z, m_period, n)
+    return weight2_least(heads, extend_row(p_u, m_period)), heads[0][0]
 
 
 # Weight3Events builds about _W3_CHUNK families at once, which bounds its arrays

@@ -150,7 +150,7 @@ def _weight2_marginals(code: RscCode, n: int, width: int):
     """marginal(p_u, p_z, h), whose width-byte slots below h are those of
     _marginal(_cwef_w2(code, p_u, p_z, n, h), 1, h): p_z's paths by z in
     one group per start and remerge column, each packed once and moved
-    up by its u.  Long rows cannot afford the up to M^2 groups."""
+    up by its u."""
     @cache
     def groups(p_z, m_period, h):
         by_columns: dict[tuple[int, int], dict[int, int]] = {}

@@ -473,7 +473,7 @@ def test_out_refused_before_the_work(monkeypatch, tmp_path, capsys, argv,
     def no_work(*_):
         raise AssertionError("work started before --out was checked")
 
-    for module, name in ((cwef, "_cwef_w2"), (cli, "weight2_table"), (pccc, "_weight2_counts"),
+    for module, name in ((cwef, "_cwef_w2"), (cli, "weight2_heads"), (pccc, "_weight2_counts"),
                          (oracle, "run_case")):
         monkeypatch.setattr(module, name, no_work)
     target = tmp_path / where
@@ -619,33 +619,37 @@ def test_search_matches_naive_ranking(tmp_path, capsys, gr, gf):
 
 
 def test_search_builds_each_row_once(monkeypatch, capsys):
-    # screening reads one packed table per code, of one unit-row span walk
-    # per column of the probe-length block, and builds no enumerator; the
-    # P(2) tie-break walks each distinct parity row of its contenders once
-    # at n, whether the row is a par1 or a par2 row
+    # screening builds no enumerator and walks each distinct parity row
+    # once, at the block of min(probe length, n) steps, whether the row is
+    # a par1 or a par2 row; the P(2) tie-break walks each distinct parity
+    # row of its contenders once at n
     calls = count_cwef_builds(monkeypatch, cwef, pccc)
     walks = count_span_walks(monkeypatch)
-    tables, contenders = [], []
-    real_table, real_p2 = cwef.weight2_table, cli._search_p2
+    screened, contenders = [], []
+    real_heads, real_p2 = cwef.weight2_heads, cli._search_p2
 
-    def counted_table(*args):
-        tables.append(args)
-        return real_table(*args)
+    def counted_heads(code, p_z, *args, **kwargs):
+        screened.append(p_z)
+        return real_heads(code, p_z, *args, **kwargs)
 
     def recorded_p2(code1, code2, rows, *args):
         contenders.extend(rows)
         return real_p2(code1, code2, rows, *args)
 
-    monkeypatch.setattr(cli, "weight2_table", counted_table)
+    monkeypatch.setattr(cli, "weight2_heads", counted_heads)
     monkeypatch.setattr(cli, "_search_p2", recorded_p2)
     code, out, _ = run(capsys, "search", "--gr1", "15", "--gf1", "17",
                        "--rate", "2/3", "--period", "4", "--n", "200")
     assert code == 0 and "# candidates = 924" in out
-    assert len(tables) == 1 and calls == []
+    assert calls == []
+    # rate 2/3 at period 4 keeps 6 of 12 bits: every row of 4 bits is a
+    # par1 row of some candidate, and a par2 row of another
+    assert len(screened) == len(set(screened)) == 2**4
     parity_rows = {row for _, par1, par2 in contenders for row in (par1, par2)}
     assert len(contenders) > len(parity_rows) > 1
-    probe = probe_length(RscCode.from_octals("15", "17"), 4)
-    assert sorted(walks) == sorted([(probe - 1) // 7] * 4 + [(200 - 1) // 7] * len(parity_rows))
+    block = min(probe_length(RscCode.from_octals("15", "17"), 4), 200)
+    assert sorted(walks) == sorted([(block - 1) // 7] * len(screened)
+                                   + [(200 - 1) // 7] * len(parity_rows))
 
 
 def test_search_screens_a_short_block_as_bound_reads_it(capsys):

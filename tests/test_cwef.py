@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import turbobound.rsc as rsc
 
 from turbobound.cwef import (Cwef, _cwef_w2, cwef_w2_punctured, min_weights, path_weights,
-                             weight2_minima, weight2_table, weight2_total)
+                             weight2_heads, weight2_minima, weight2_total)
 from turbobound.oracle import GRID_CODES, brute_force_cwef, exact_cwef_dp
 from turbobound.pccc import (_marginal, _slot_width, _unpack, _weight2_marginals,
                              certified_horizon)
@@ -130,7 +130,7 @@ def test_unpunctured_short_block_warns():
 
 
 @pytest.mark.parametrize("n", [0, 1, 7])
-def test_minima_and_table_refuse_a_block_no_path_fits(n):
+def test_minima_and_heads_refuse_a_block_no_path_fits(n):
     # both read the weight-2 paths of min(probe length, n), and none fits
     # in n <= L: one message, and no empty-enumerator warning first
     message = re.escape(f"no weight-2 path fits in n={n} <= L=7")
@@ -139,7 +139,7 @@ def test_minima_and_table_refuse_a_block_no_path_fits(n):
         with pytest.raises(ValueError, match=message):
             weight2_minima(CODE_15_17, (1, 0), (0, 1), n)
         with pytest.raises(ValueError, match=message):
-            weight2_table(CODE_15_17, 2, n)
+            weight2_heads(CODE_15_17, (0, 1), 2, n)
 
 
 def test_unpunctured_count_conservation():

@@ -10,16 +10,15 @@ and its folded layout, which counts d = u + z alone, against its split
 (w, u, d) layout.
 """
 
-import sys
-from itertools import combinations, compress
+from itertools import combinations
 from math import lcm
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from turbobound.cwef import (cwef_w2_punctured, min_weights, path_weights, weight2_minima,
-                             weight2_table)
+from turbobound.cwef import (cwef_w2_punctured, min_weights, path_weights, weight2_heads,
+                             weight2_least, weight2_minima)
 from turbobound.gf2 import BinaryPolynomial
 from turbobound.oracle import GRID_CODES, brute_force_cwef, exact_cwef_dp
 from turbobound.puncture import Classification, classify, extend_row, probe_length
@@ -90,8 +89,9 @@ def test_probe_length_minima_match_every_path(code, pair, cut):
     p_u, p_z = pair
     m_period = lcm(len(p_u), len(p_z))
     cycle = lcm(code.period, m_period) // code.period
-    weights = [path_weights(code, p_u, p_z, k, m)
-               for k in range(1, cycle + 1) for m in range(1, m_period + 1)]
+    paths = {(k, m0): path_weights(code, p_u, p_z, k, m0 + 1)
+             for k in range(1, cycle + 1) for m0 in range(m_period)}
+    weights = paths.values()
     probe = cwef_w2_punctured(code, p_u, p_z, probe_length(code, m_period))
     assert min_weights(probe) == (min(u + z for u, z in weights),
                                   min(z for _, z in weights))
@@ -101,20 +101,20 @@ def test_probe_length_minima_match_every_path(code, pair, cut):
     short = code.period + 1 + cut % (probe_length(code, m_period) - code.period)
     assert weight2_minima(code, p_u, p_z, short) \
         == min_weights(cwef_w2_punctured(code, p_u, p_z, short))
-    # the packed table that search screens with reads the same paths:
-    # the columns a row keeps sum to each path's weights, slot by slot
-    block = probe_length(code, m_period)
-    table = weight2_table(code, m_period, block)
-    assert table.minima([(p_u, p_z)]) == {(p_u, p_z): min_weights(probe)}
-    paths = [(k, m) for k in range(1, (block - 1) // code.period + 1)
-             for m in range(1, min(m_period, block - k * code.period) + 1)]
-
-    def slots(cols, row):
-        packed = sum(compress(cols, extend_row(row, m_period)))
-        return memoryview(packed.to_bytes(table.nbytes, sys.byteorder)).cast(table.slot)
-
-    assert list(zip(slots(table.u_cols, p_u), slots(table.z_cols, p_z))) \
-        == [path_weights(code, p_u, p_z, k, m) for k, m in paths]
+    # every path above fits in the probe length, and the heads are those
+    # of z < L + 3, each with the z that path_weights gives it and the
+    # remerge column whose systematic bit path_weights counts
+    pu = extend_row(p_u, m_period)
+    remerge = {(k, m0): (m0 + k * code.period) % m_period for k, m0 in paths}
+    assert all(u == pu[m0] + pu[remerge[k, m0]] for (k, m0), (u, _) in paths.items())
+    heads = weight2_heads(code, p_z, m_period)
+    assert sorted(heads) == sorted((z, m0, remerge[k, m0]) for (k, m0), (_, z)
+                                   in paths.items() if z < code.period + 3)
+    # the search screen, one scan of the heads sorted by z per p_u
+    for n, want in ((None, probe), (short, cwef_w2_punctured(code, p_u, p_z, short))):
+        heads = weight2_heads(code, p_z, m_period, n)
+        assert [z for z, _, _ in heads] == sorted(z for z, _, _ in heads)
+        assert (weight2_least(heads, pu), heads[0][0]) == min_weights(want)
 
 
 def encoded_tally(code, p_u, p_z, n, w):
