@@ -18,15 +18,14 @@ import warnings
 from fractions import Fraction
 from functools import cache, partial
 from heapq import nlargest
-from itertools import combinations
+from itertools import combinations, starmap
 from math import comb
 
 from . import __version__
-from .cwef import weight2_heads, weight2_least, weight2_minima, weight2_total
+from .cwef import weight2_heads, weight2_least, weight2_minima
 from .oracle import DP_D_LIMIT, DP_W_LIMIT, run_verification
-from .pccc import (PcccConfig, certified_horizon, certified_p2, d_free_eff,
-                   free_effective_distance, p2_approximation, truncated_union_bound,
-                   weight2_spectra)
+from .pccc import (PcccConfig, certified_p2, d_free_eff, free_effective_distance,
+                   p2_approximation, truncated_union_bound, weight2_spectra)
 # not called here; the benchmark harness self-test traces cli.p2_slice
 from .pccc import p2_slice  # noqa: F401
 from .puncture import (PcccPunctureSet, classification, code_rate,
@@ -266,22 +265,6 @@ def cmd_patterns(args) -> int:
     return 0
 
 
-def _search_p2(code1, code2, contenders, n, rate, db, d_min):
-    """P(2) of each contender, from the spectrum, union sum and proof that
-    `bound` uses at one certified horizon: each distinct parity row is
-    walked once, each spectrum is one product of two packed marginals,
-    and every contender reads one table of Q values.  d_min, the largest
-    weight-2 distance among the contenders, steers the horizon: a smaller
-    one only makes rebuilds at D* likelier."""
-    total = weight2_total(code1, n) * weight2_total(code2, n)
-    horizon = certified_horizon(rate, db, d_min, total)
-    spectrum = weight2_spectra(code1, code2, n)  # held for this command only
-    q_tables, out = {}, []
-    for rows in contenders:
-        out += certified_p2(partial(spectrum, *rows), total, n, rate, (db,), horizon, q_tables)
-    return out
-
-
 def _rows(length: int, ones: int) -> list[tuple[int, ...]]:
     """Every 0/1 row of the given length and weight, in combinations order."""
     out = []
@@ -353,8 +336,12 @@ def cmd_search(args) -> int:
     threshold = nlargest(min(args.top, feasible), dfree)[-1]
     contenders = [(d, rows) for d, (rows, _, _) in zip(dfree, triples())
                   if d >= threshold]
-    p2_values = _search_p2(code1, code2, [rows for _, rows in contenders],
-                           args.n, rate, grid[0], max(dfree))
+    # P(2) as `bound` sums it, off one lazy spectrum callable per contender;
+    # the packed marginals they share go before the ranking is built
+    p2_values = [p2 for p2, in certified_p2(
+        code1, code2, args.n, rate, grid, max(dfree),
+        starmap(partial(partial, weight2_spectra(code1, code2, args.n)),
+                (rows for _, rows in contenders)))]
     ranked = sorted(
         ((d, p2, rows) for (d, rows), p2 in zip(contenders, p2_values)),
         key=lambda item: (-item[0], item[1], item[2]))

@@ -16,7 +16,7 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import compress
 from math import comb, lcm
 
@@ -320,12 +320,12 @@ def certified_horizon(rate, ebn0_db: float, d_min: int, total: int) -> float:
 
 
 def union_bound_curve(b: IowefSlice, n: int, rate, ebn0_db, rest: int = 0,
-                      horizon: float = math.inf,
-                      q_tables: dict | None = None) -> tuple[float, ...] | None:
+                      horizon: float = math.inf) -> tuple[float, ...] | None:
     """Contribution P(w) of one input weight to the union bound at each
     Eb/N0 of a grid: the sum over d of
     (w / n) * (count_d / C(n, w)) * Q(sqrt(2 R Eb/N0 d)).  Each
-    coefficient is divided once for the whole grid.
+    coefficient is divided once for the whole grid.  A weight w > n has
+    no inputs and contributes 0.0.
 
     rest counts more, each at a distance of horizon or more, may be left
     out of b.  Then each sum is returned only when it provably equals
@@ -338,40 +338,35 @@ def union_bound_curve(b: IowefSlice, n: int, rate, ebn0_db, rest: int = 0,
     added to the terms so far round to their sum: Q falls with d, so B
     bounds every term left out, subnormal roundings too.  No stop is
     tried short of a distance that refuses a non-finite argument, so
-    each call raises or returns None just as a walk over every term.
-    q_tables, a dict that calls at the same points may share, holds each
-    Q computed, by 2 R Eb/N0 and distance."""
-    rate = Fraction(rate)
+    each call raises or returns None just as a walk over every term."""
     if not 0 < rate < 1:
         raise ValueError(f"rate {rate} outside (0, 1)")
     if n < 1:
         raise ValueError("block length must be positive")
-    denom = n * comb(n, b.w)
-    items = sorted(b.coeffs.items())
-    # scale * d converts an int d to float anyway; do it once per grid
-    distances = [float(d) for d, _ in items]
-    # int / int is correctly rounded: float(Fraction(b.w * c, denom))
-    coefficients = [b.w * c / denom for _, c in items]
-    rest_coefficient = b.w * rest / denom
-    top, far, rate = math.fsum(coefficients), max(distances, default=0.0), float(rate)
+    w, coeffs = b.w, b.coeffs
+    if w > n:
+        return (0.0,) * len(ebn0_db)
+    denom = n * comb(n, w)
+    distances = sorted(coeffs)
+    # int / int is correctly rounded: float(Fraction(w * c, denom))
+    coefficients = [w * coeffs[d] / denom for d in distances]
+    rest_coefficient = w * rest / denom
+    top, rate = math.fsum(coefficients), float(rate)
+    far = float(distances[-1]) if distances else 0.0
     sqrt, erfc, inf, root2 = math.sqrt, math.erfc, math.inf, math.sqrt(2.0)
     sums = []
     for db in ebn0_db:
         scale = _scale(rate, db)
-        known = {} if q_tables is None else q_tables.setdefault(scale, {})
-        if rest and horizon not in known:
-            known[horizon] = _q_at(scale, horizon)
-        tail = [4.0 * rest_coefficient * known[horizon]] if rest else []
+        tail = [4.0 * rest_coefficient * _q_at(scale, horizon)] if rest else []
         # a stop short of a distance that refuses would hide the refusal
         share = 2.0**-58 if scale * far < inf else 0.0
         head, floor = [], inf
         for d, coefficient in zip(distances, coefficients):
-            if (q := known.get(d)) is None:
-                # _q_at, inline: a call per term would cost a quarter of the sum
-                x = sqrt(scale * d)
-                if not x < inf:
-                    raise ValueError("q_function needs a finite argument")
-                q = known[d] = 0.5 * erfc(x / root2)
+            # _q_at, inline: a call per term would cost a quarter of the sum
+            x = sqrt(scale * d)
+            if not x < inf:
+                raise ValueError("q_function needs a finite argument")
+            q = 0.5 * erfc(x / root2)
             if q == 0.0:
                 break
             # the first term sets floor; under it, B <= 16 q top may pass
@@ -403,21 +398,25 @@ def p2_slice(config: PcccConfig, horizon: float = math.inf) -> IowefSlice:
     return distance_spectrum(a1, a2, horizon)
 
 
-def certified_p2(spectrum, total: int, n: int, rate, ebn0_db, horizon: float,
-                 q_tables: dict | None = None) -> tuple[float, ...]:
-    """P(2) at each point of a grid, from spectrum(h), the weight-2
-    distance spectrum below h of a block whose whole spectrum holds
-    total counts.  It is clipped at horizon, a certified_horizon, and
-    each sum is proved to equal that of the whole spectrum; when a proof
-    fails the spectrum is rebuilt up to D* of the lowest point, where no
-    term adds to any sum.  Both sums share q_tables."""
-    b = spectrum(horizon)
-    sums = union_bound_curve(b, n, rate, ebn0_db, total - sum(b.coeffs.values()),
-                             horizon, q_tables)
-    if sums is None:
-        sums = union_bound_curve(spectrum(q_horizon(rate, min(ebn0_db))),
-                                 n, rate, ebn0_db, q_tables=q_tables)
-    return sums
+def certified_p2(code1: RscCode, code2: RscCode, n: int, rate, ebn0_db, d_min: int,
+                 spectra):
+    """P(2) of `bound` and `search` at each point of a grid: one tuple per
+    spectrum(h) of spectra, a weight-2 distance spectrum below h of a
+    block of n behind code1 and code2.  Each is clipped at one
+    certified_horizon, and each sum is proved to equal that of the whole
+    spectrum; when a proof fails the spectrum is rebuilt up to D* of the
+    lowest point, where no term adds to any sum.  d_min, ideally the
+    spectra's smallest distance, only steers the horizon: a smaller one
+    makes rebuilds at D* likelier, a larger one keeps more terms."""
+    low = min(ebn0_db)
+    total = weight2_total(code1, n) * weight2_total(code2, n)
+    horizon = certified_horizon(rate, low, d_min, total)
+    for spectrum in spectra:
+        b = spectrum(horizon)
+        sums = union_bound_curve(b, n, rate, ebn0_db, total - sum(b.coeffs.values()), horizon)
+        if sums is None:
+            sums = union_bound_curve(spectrum(q_horizon(rate, low)), n, rate, ebn0_db)
+        yield sums
 
 
 def _as_points(raw_values, ebn0_db) -> tuple[BoundPoint, ...]:
@@ -427,17 +426,15 @@ def _as_points(raw_values, ebn0_db) -> tuple[BoundPoint, ...]:
 
 
 def p2_approximation(config: PcccConfig, ebn0_db) -> BoundCurve:
-    """Dominant-term approximation of the bit-error union bound.  The
-    clipping horizon is chosen from the spectrum's smallest distance,
-    read off config.minima."""
+    """Dominant-term approximation of the bit-error union bound: the one
+    spectrum p2_slice(config, h) through certified_p2, with d_min read
+    off config.minima."""
     ebn0_db = tuple(float(db) for db in ebn0_db)
     if not ebn0_db:
         raise ValueError("need at least one SNR point")
     (m1, _), (_, z2) = config.minima
-    total = weight2_total(config.code1, config.n) * weight2_total(config.code2, config.n)
-    horizon = certified_horizon(config.rate, min(ebn0_db), m1 + z2, total)
-    raw = certified_p2(lambda h: p2_slice(config, h), total, config.n,
-                       config.rate, ebn0_db, horizon, {})
+    raw, = certified_p2(config.code1, config.code2, config.n, config.rate, ebn0_db,
+                        m1 + z2, [partial(p2_slice, config)])
     return BoundCurve(_as_points(raw, ebn0_db), label="p2")
 
 
@@ -534,13 +531,11 @@ def truncated_union_bound(config: PcccConfig, w_max: int, d_max: int,
     (e1, t1), (e2, t2) = (constituent_cwefs(*c, config.n, w_max, d_max) for c in (c1, c2))
     truncated = t1 or t2
     per_weight: dict[int, tuple[float, ...]] = {}
-    q_tables: dict = {}  # every weight reads the same Q values
     for w in range(2, w_max + 1):
         spectrum = dict(_convolve(e1[w], e2[w]))
         kept = {d: c for d, c in spectrum.items() if d <= d_max}
         truncated |= len(kept) < len(spectrum)
-        per_weight[w] = union_bound_curve(IowefSlice(w, kept), config.n, config.rate,
-                                          ebn0_db, q_tables=q_tables)
+        per_weight[w] = union_bound_curve(IowefSlice(w, kept), config.n, config.rate, ebn0_db)
     totals = [math.fsum(per_weight[w][i] for w in per_weight)
               for i in range(len(ebn0_db))]
     curve = BoundCurve(_as_points(totals, ebn0_db), label=f"union_w{w_max}")

@@ -18,7 +18,7 @@ with each point walked to its first Q of 0.0.  Checked here:
 - every P(2) contender of `search` for the five grid codes at periods
   2-4, rates 1/2, 2/3 and 3/4, n = 1000 and -3, 0 and 6 dB.
 
-The run takes about 25 s, and the file name does not match
+The run takes 14-25 s, and the file name does not match
 test_*.py, so pytest does not collect it.
 
     PYTHONPATH=src python tests/exhaustive_p2.py
@@ -52,18 +52,24 @@ calls = {"sums": 0, "rebuilds": 0}
 
 
 def counted(certified_p2):
-    """certified_p2, counting the sums it proves and the D* rebuilds."""
-    def wrapper(spectrum, *args):
+    """certified_p2, counting the sums it proves and the D* rebuilds: each
+    spectrum callable is built at the horizon, and again at D* when the
+    proof fails."""
+    def wrapper(*args):
+        *settings, spectra = args
         built = []
 
-        def recorded(h):
-            built.append(h)
-            return spectrum(h)
+        def recorded(spectrum):
+            def build(h):
+                built.append(h)
+                return spectrum(h)
+            return build
 
-        sums = certified_p2(recorded, *args)
-        calls["sums"] += 1
-        calls["rebuilds"] += len(built) - 1
-        return sums
+        for sums in certified_p2(*settings, map(recorded, spectra)):
+            calls["sums"] += 1
+            calls["rebuilds"] += len(built) - 1
+            built.clear()
+            yield sums
     return wrapper
 
 
@@ -101,15 +107,19 @@ def bound_configs():
 
 
 def search_calls():
-    """The arguments of each call that search makes to its P(2) pass."""
+    """The settings, contenders and P(2) values of each tie-break that
+    search runs."""
     captured = []
-    real = cli._search_p2
+    real = cli.certified_p2
 
-    def recorder(*args):
-        captured.append(args)
-        return real(*args)
+    def recorder(code1, code2, n, rate, grid, d_min, spectra):
+        spectra = list(spectra)
+        values = [p2 for p2, in real(code1, code2, n, rate, grid, d_min, spectra)]
+        # each spectrum callable is search's one spectrum bound to a row triple
+        captured.append((code1, code2, n, rate, grid[0], [s.args for s in spectra], values))
+        return ((p2,) for p2 in values)
 
-    cli._search_p2 = recorder
+    cli.certified_p2 = recorder
     try:
         for gr, gf in GRID_CODES:
             for rate, period in SEARCH_SETTINGS:
@@ -119,7 +129,7 @@ def search_calls():
                                         "--period", str(period), "--n", "1000",
                                         f"--snr={snr}"])
     finally:
-        cli._search_p2 = real
+        cli.certified_p2 = real
     return captured
 
 
@@ -145,12 +155,8 @@ def main() -> int:
                     print(f"FAIL truncated {config.code1.label()} {config.punctures} "
                           f"n={config.n} grid from {grid[0]}: {got} vs {want}", flush=True)
     bound_sums = dict(calls)
-    search_args = search_calls()
-    before = dict(calls)
     contenders = 0
-    for args in search_args:
-        code1, code2, rows_list, n, rate, db, _ = args
-        got = cli._search_p2(*args)
+    for code1, code2, n, rate, db, rows_list, got in search_calls():
         horizon = q_horizon(rate, db)
         for rows, value in zip(rows_list, got):
             contenders += 1
@@ -166,8 +172,8 @@ def main() -> int:
           f"{bound_sums['sums']} certified sums rebuilt at D*")
     print(f"# truncated bound: {truncated} w_max {W_MAX}, d_max {D_MAX} curve sets")
     print(f"# search: {contenders} contenders, "
-          f"{calls['rebuilds'] - before['rebuilds']} of "
-          f"{calls['sums'] - before['sums']} certified sums rebuilt at D*")
+          f"{calls['rebuilds'] - bound_sums['rebuilds']} of "
+          f"{calls['sums'] - bound_sums['sums']} certified sums rebuilt at D*")
     total = checked + truncated + contenders
     print(f"# each union sum equals the whole walk: "
           f"{total - failed}/{total} "

@@ -137,6 +137,29 @@ def test_bound_w3_columns(capsys):
     assert "# terms_dropped = 0" in out
 
 
+def test_bound_wmax_above_n_adds_nothing(capsys):
+    # a block of n holds no input of weight w > n: the run succeeds and
+    # its rows are those at --wmax n
+    argv = ("bound", "--gr1", "7", "--gf1", "5", "--n", "4", "--dmax", "10")
+    code, out, err = run(capsys, *argv, "--wmax", "6")
+    assert code == 0 and err == ""
+    code, at_n, _ = run(capsys, *argv, "--wmax", "4")
+    assert code == 0
+    body = [line for line in out.splitlines() if not line.startswith("#")]
+    assert body == [line for line in at_n.splitlines() if not line.startswith("#")]
+    # at n = 2 only weight 2 has inputs: the bound is P(2), at --wmax 2 too
+    argv = ("bound", "--gr1", "3", "--gf1", "1", "--n", "2", "--dmax", "5")
+    code, out, err = run(capsys, *argv, "--wmax", "3")
+    assert code == 0 and err == ""
+    code, p2_only, _ = run(capsys, *argv, "--wmax", "2")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
+    assert len(rows) == 17
+    assert all(tb == p2 and ratio == "1.00000000000e+00" for _, p2, tb, ratio, _, _ in rows)
+    assert [row[:2] for row in rows] == [
+        line.split(",")[:2] for line in p2_only.splitlines() if not line.startswith("#")][1:]
+
+
 def test_bound_deterministic_and_atomic(tmp_path, capsys):
     target = tmp_path / "curve.csv"
     argv = ("bound", "--gr1", "15", "--gf1", "17", "--pseudo", "A",
@@ -626,18 +649,23 @@ def test_search_builds_each_row_once(monkeypatch, capsys):
     calls = count_cwef_builds(monkeypatch, cwef, pccc)
     walks = count_span_walks(monkeypatch)
     screened, contenders = [], []
-    real_heads, real_p2 = cwef.weight2_heads, cli._search_p2
+    real_heads, real_p2 = cwef.weight2_heads, cli.certified_p2
 
     def counted_heads(code, p_z, *args, **kwargs):
         screened.append(p_z)
         return real_heads(code, p_z, *args, **kwargs)
 
-    def recorded_p2(code1, code2, rows, *args):
-        contenders.extend(rows)
-        return real_p2(code1, code2, rows, *args)
+    def recorded(spectra):
+        # each contender's spectrum is the shared one bound to its rows
+        for spectrum in spectra:
+            contenders.append(spectrum.args)
+            yield spectrum
+
+    def recorded_p2(*args):
+        return real_p2(*args[:-1], recorded(args[-1]))
 
     monkeypatch.setattr(cli, "weight2_heads", counted_heads)
-    monkeypatch.setattr(cli, "_search_p2", recorded_p2)
+    monkeypatch.setattr(cli, "certified_p2", recorded_p2)
     code, out, _ = run(capsys, "search", "--gr1", "15", "--gf1", "17",
                        "--rate", "2/3", "--period", "4", "--n", "200")
     assert code == 0 and "# candidates = 924" in out

@@ -13,6 +13,7 @@ import itertools
 import math
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,7 +26,7 @@ from turbobound.pccc import (IowefSlice, PcccConfig, certified_horizon,
                              certified_p2, distance_spectrum,
                              free_effective_distance, p2_approximation,
                              p2_slice, q_function, q_horizon,
-                             union_bound_curve, union_bound_term)
+                             union_bound_curve, union_bound_term, weight2_spectra)
 from turbobound.puncture import PcccPunctureSet, pseudo_random_pattern
 from turbobound.rsc import RscCode
 from test_oracle_differential import codes
@@ -47,6 +48,14 @@ def unclipped_p2(config, ebn0_db, horizon=math.inf):
     a1, a2 = (cwef_w2_punctured(*c, config.n, horizon) for c in config.constituents())
     b = distance_spectrum(a1, a2, horizon)
     return list(walked_union_curve(b, config.n, config.rate, ebn0_db))
+
+
+def search_p2(code1, code2, contenders, n, rate, db, d_min):
+    """P(2) of each contender as `search` sums it: certified_p2 over the
+    one weight2_spectra bound to each contender's rows."""
+    spectrum = weight2_spectra(code1, code2, n)
+    spectra = (partial(spectrum, *rows) for rows in contenders)
+    return [p2 for p2, in certified_p2(code1, code2, n, rate, (db,), d_min, spectra)]
 
 
 def q_at(rate, ebn0_db, d):
@@ -130,8 +139,8 @@ def test_search_p2_equals_the_unclipped_sum_whatever_its_d_min(config, db, d_min
     # d_min only steers the horizon: too small a one risks a rebuild at
     # D*, too large a one keeps more of the spectrum
     rows = (config.punctures.sys, config.punctures.par1, config.punctures.par2)
-    assert cli._search_p2(config.code1, config.code2, [rows], config.n, config.rate,
-                          db, d_min) == unclipped_p2(config, (db,))
+    assert search_p2(config.code1, config.code2, [rows], config.n, config.rate,
+                     db, d_min) == unclipped_p2(config, (db,))
 
 
 def test_search_p2_rebuilds_each_contender_whose_proof_fails():
@@ -148,7 +157,19 @@ def test_search_p2_rebuilds_each_contender_whose_proof_fails():
         a2 = cwef_w2_punctured(code, (0, 0, 0), par2_row, n, d_star)
         want += walked_union_curve(distance_spectrum(a1, a2, d_star), n, rate, (db,))
     assert len(set(want)) > 1
-    assert cli._search_p2(code, code, contenders, n, rate, db, 0) == want
+    spectrum, built = weight2_spectra(code, code, n), []
+
+    def recorded(rows):
+        def build(h):
+            built.append((rows, h))
+            return spectrum(*rows, h)
+        return build
+
+    got = certified_p2(code, code, n, rate, (db,), 0, map(recorded, contenders))
+    assert [p2 for p2, in got] == want
+    horizon = certified_horizon(rate, db, 0, weight2_total(code, n) ** 2)
+    assert horizon == 2
+    assert built == [(rows, h) for rows in contenders for h in (horizon, d_star)]
 
 
 def test_a_rest_that_could_change_a_sum_forces_the_rebuild_at_d_star():
@@ -165,14 +186,24 @@ def test_a_rest_that_could_change_a_sum_forces_the_rebuild_at_d_star():
         unclipped_p2(config, grid))
     # a rest 2**200 times too large cannot be proved harmless
     assert union_bound_curve(clipped, 4000, config.rate, grid, rest << 200, horizon) is None
+    # from 10 dB on a d_min of 0 puts the horizon below the smallest
+    # distance, 16, where the rest of the whole spectrum could change
+    # each sum: certified_p2 rebuilds at D*
+    grid = (10.0, 12.0, 14.0)
+    horizon = certified_horizon(config.rate, grid[0], 0, total)
+    d_star = q_horizon(config.rate, grid[0])
+    assert horizon < 16 < d_star
+    assert not p2_slice(config, horizon).coeffs
+    assert union_bound_curve(IowefSlice(2, {}), 4000, config.rate, grid, total,
+                             horizon) is None
     built = []
 
     def spectrum(h):
         built.append(h)
         return p2_slice(config, h)
 
-    got = certified_p2(spectrum, total << 200, 4000, config.rate, grid, horizon)
-    assert built == [horizon, 1481]
+    got, = certified_p2(CODE_23_35, CODE_23_35, 4000, config.rate, grid, 0, [spectrum])
+    assert built == [horizon, d_star]
     assert list(got) == unclipped_p2(config, grid)
 
 
@@ -255,7 +286,7 @@ def test_search_tie_break_equals_union_bound_term(db, n):
         config = PcccConfig(code, code, PcccPunctureSet(*rows), n)
         assert config.rate == rate
         want += unclipped_p2(config, (db,), clip)
-    assert cli._search_p2(code, code, contenders, n, rate, db, 0) == want
+    assert search_p2(code, code, contenders, n, rate, db, 0) == want
 
 
 @pytest.mark.parametrize("argv", [
@@ -266,8 +297,8 @@ def test_search_tie_break_equals_union_bound_term(db, n):
 ])
 @pytest.mark.parametrize("snr", ["--snr=-1000", "--snr=-4000"])
 def test_far_below_0_db_finishes_quickly(capsys, argv, snr):
-    # D* is about 10^103 at -1000 dB and infinite at -4000 dB: no Q table
-    # or spectrum may be sized by it
+    # D* is about 10^103 at -1000 dB and infinite at -4000 dB: no spectrum
+    # may be sized by it
     start = time.perf_counter()
     code, out, err = run(capsys, *argv, snr)
     assert time.perf_counter() - start < 5.0

@@ -270,6 +270,20 @@ def test_truncated_bound_and_ratio_in_60_digits():
             assert rel_err(p2p.raw / tbp.raw, float(ratio)) < 1e-12, db
 
 
+def test_truncated_bound_past_the_block_adds_zero():
+    # a block of n holds no input of weight w > n, so those weights add
+    # 0.0 and the bound is the one at w_max = n
+    code = RscCode.from_octals("7", "5")
+    cfg = PcccConfig(code, code, PcccPunctureSet((1,), (1,), (1,)), 4)
+    grid = (0.0, 3.0, 6.0)
+    at_n = truncated_union_bound(cfg, 4, 10, grid)
+    past = truncated_union_bound(cfg, 6, 10, grid)
+    assert past.per_weight == {**at_n.per_weight, 5: (0.0,) * 3, 6: (0.0,) * 3}
+    assert past.curve.points == at_n.curve.points
+    assert past.truncated == at_n.truncated
+    assert union_bound_term(IowefSlice(5, {}), 4, Fraction(1, 3), 3.0) == 0.0
+
+
 def test_truncated_bound_rejects():
     cfg = config_for(PB, 80)
     with pytest.raises(ValueError, match="at least one SNR"):
